@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
                    help="comma list from psnr,ssim,msssim")
     p.add_argument("--vmaf-csv", help="ingest per-frame VMAF scores (frame,vmaf CSV)")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--threads", type=int, default=None)
     add_common(p)
 
     p = sub.add_parser("bench", help="Table-style method comparison on one reference")
@@ -102,10 +101,15 @@ def _build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("VSRHE_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise _UsageError(f"VSRHE_THREADS must be an integer, got {env!r}") from None
 
 
 def _read_video(path: str, width=None, height=None) -> frame_io.VideoSequence:
@@ -118,15 +122,14 @@ def _read_video(path: str, width=None, height=None) -> frame_io.VideoSequence:
         return frame_io.read_raw_yuv(f, width, height, C420)
 
 
-def _write_video_atomic(seq, path: str) -> None:
+def _write_atomic(path: str, write) -> None:
+    """Call write(f) on a binary temp file beside `path`, then rename it
+    over `path`; on any failure the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            if path.endswith(".y4m"):
-                frame_io.write_y4m(seq, f)
-            else:
-                frame_io.write_raw_yuv(seq, f)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -134,17 +137,8 @@ def _write_video_atomic(seq, path: str) -> None:
         raise
 
 
-def _write_text_atomic(text: str, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _video_writer(path: str):
+    return frame_io.write_y4m if path.endswith(".y4m") else frame_io.write_raw_yuv
 
 
 def _kernel_from_args(args) -> resample.KernelSpec:
@@ -158,20 +152,21 @@ def _kernel_from_args(args) -> resample.KernelSpec:
 
 
 def _cmd_upscale(args) -> int:
+    threads = _threads(args)
     seq = _read_video(args.input, args.width, args.height)
     with open(args.weights, "rb") as f:
         weights, cfg = weights_io.load_weights(f)
     model = pipeline.NetworkModel(weights, cfg)
     out = pipeline.upscale_sequence(seq, model, overlap=args.overlap,
-                                    threads=_threads(args), progress=sys.stderr)
-    _write_video_atomic(out, args.out)
+                                    threads=threads, progress=sys.stderr)
+    _write_atomic(args.out, lambda f: _video_writer(args.out)(out, f))
     return 0
 
 
 def _cmd_downscale(args) -> int:
     seq = _read_video(args.input, args.width, args.height)
     out = resample.downscale_video(seq, args.factor, _kernel_from_args(args))
-    _write_video_atomic(out, args.out)
+    _write_atomic(args.out, lambda f: _video_writer(args.out)(out, f))
     return 0
 
 
@@ -205,7 +200,7 @@ def _cmd_metrics(args) -> int:
                             sequence_id=args.dist, method="dist")
     buf = io.StringIO()
     report.write_csv(buf)
-    _write_text_atomic(buf.getvalue(), args.out)
+    _write_atomic(args.out, lambda f: f.write(buf.getvalue().encode("utf-8")))
     return 0
 
 
@@ -234,7 +229,8 @@ def _cmd_bench(args) -> int:
             raise _UsageError(f"unknown bench method {method!r}")
         reports.append(_metric_report(ref, cand, which, None,
                                       sequence_id=args.ref, method=method))
-    _write_text_atomic(metrics.format_summary_table(reports), args.out)
+    table = metrics.format_summary_table(reports).encode("utf-8")
+    _write_atomic(args.out, lambda f: f.write(table))
     return 0
 
 

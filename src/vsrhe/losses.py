@@ -10,7 +10,11 @@ term is an externally supplied scalar folded in by `total_loss`.
 
 `perceptual_loss_grad` is the exact derivative of this formula, including
 the Gaussian-window chain rule for both structural terms; `fd_gradient`
-is the finite-difference oracle used to verify it.
+is the finite-difference oracle used to verify it. The SSIM and MS-SSIM
+values and gradients come from `metrics.ssim_term` and
+`metrics.ms_ssim_pyramid`, the same kernel that `metrics.ssim` and
+`metrics.ms_ssim` use, which also holds the window-filter and pooling
+adjoints.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
-from .metrics import MS_SSIM_WEIGHTS, SsimParams, mean_pool2
+from .metrics import MS_SSIM_WEIGHTS, SsimParams, ms_ssim_pyramid, ssim_term
 
 __all__ = [
     "LossWeights",
@@ -55,129 +58,18 @@ class LossBreakdown:
     msssim_loss: float
 
 
-def _check_pair(pred, target, p: SsimParams, scales: int):
+def _check_pair(pred, target, p: SsimParams):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"geometry mismatch: {pred.shape} vs {target.shape}")
     if pred.ndim != 3:
         raise ValueError(f"expected [C,H,W] tensors, got shape {pred.shape}")
-    min_dim = p.window_size * 2 ** (scales - 1)
+    min_dim = p.window_size * 2 ** (len(MS_SSIM_WEIGHTS) - 1)
     if min(pred.shape[1:]) < min_dim:
         raise ValueError(
             f"spatial dims {pred.shape[1:]} below the MS-SSIM minimum {min_dim}")
     return pred, target
-
-
-def _stats(x, y, taps, half):
-    def fv(img):
-        out = correlate1d(img, taps, axis=0, mode="constant")
-        out = correlate1d(out, taps, axis=1, mode="constant")
-        return out[half:img.shape[0] - half, half:img.shape[1] - half]
-
-    mu_x, mu_y = fv(x), fv(y)
-    var_x = fv(x * x) - mu_x * mu_x
-    var_y = fv(y * y) - mu_y * mu_y
-    cov = fv(x * y) - mu_x * mu_y
-    return mu_x, mu_y, var_x, var_y, cov
-
-
-def _adjoint_filter(partial, taps, half):
-    padded = np.pad(partial, half)
-    out = correlate1d(padded, taps, axis=0, mode="constant")
-    return correlate1d(out, taps, axis=1, mode="constant")
-
-
-def _channel_ssim(x, y, p: SsimParams, want_grad: bool):
-    """Mean SSIM of one channel and (optionally) its gradient w.r.t. x."""
-    taps = p.taps
-    half = p.window_size // 2
-    c1, c2 = p.c1, p.c2
-    mu_x, mu_y, var_x, var_y, cov = _stats(x, y, taps, half)
-    a1 = 2.0 * mu_x * mu_y + c1
-    b1 = mu_x ** 2 + mu_y ** 2 + c1
-    a2 = 2.0 * cov + c2
-    b2 = var_x + var_y + c2
-    lum = a1 / b1
-    cs = a2 / b2
-    s = lum * cs
-    mean_s = float(np.mean(s))
-    if not want_grad:
-        return mean_s, None
-    nv = s.size
-    d_var = -lum * a2 / (b2 * b2)                 # ds/d(var_x)
-    d_cov = 2.0 * lum / b2                        # ds/d(cov)
-    d_mu = (cs * (2.0 * mu_y * b1 - 2.0 * mu_x * a1) / (b1 * b1)
-            + d_var * (-2.0 * mu_x) + d_cov * (-mu_y))
-    grad = (_adjoint_filter(d_mu, taps, half)
-            + 2.0 * x * _adjoint_filter(d_var, taps, half)
-            + y * _adjoint_filter(d_cov, taps, half)) / nv
-    return mean_s, grad
-
-
-def _channel_cs(x, y, p: SsimParams, want_grad: bool):
-    """Mean contrast-structure term of one channel and optional gradient."""
-    taps = p.taps
-    half = p.window_size // 2
-    c2 = p.c2
-    mu_x, mu_y, var_x, var_y, cov = _stats(x, y, taps, half)
-    a2 = 2.0 * cov + c2
-    b2 = var_x + var_y + c2
-    cs = a2 / b2
-    mean_cs = float(np.mean(cs))
-    if not want_grad:
-        return mean_cs, None
-    nv = cs.size
-    d_var = -a2 / (b2 * b2)
-    d_cov = 2.0 / b2
-    d_mu = d_var * (-2.0 * mu_x) + d_cov * (-mu_y)
-    grad = (_adjoint_filter(d_mu, taps, half)
-            + 2.0 * x * _adjoint_filter(d_var, taps, half)
-            + y * _adjoint_filter(d_cov, taps, half)) / nv
-    return mean_cs, grad
-
-
-def _unpool_grad(grad, target_shape):
-    """Adjoint of 2x2 mean pooling back to `target_shape` (zeros on any
-    cropped odd row/column)."""
-    out = np.zeros(target_shape, dtype=np.float64)
-    h2, w2 = grad.shape
-    spread = np.repeat(np.repeat(grad, 2, axis=0), 2, axis=1) * 0.25
-    out[:2 * h2, :2 * w2] = spread
-    return out
-
-
-def _channel_msssim(x, y, p: SsimParams, scales, weights, want_grad: bool):
-    """MS-SSIM of one channel and optional gradient w.r.t. x."""
-    levels = [(x, y)]
-    for _ in range(scales - 1):
-        xa, ya = levels[-1]
-        levels.append((mean_pool2(xa), mean_pool2(ya)))
-    vals = []
-    grads = []
-    for j, (xj, yj) in enumerate(levels):
-        if j == scales - 1:
-            v, g = _channel_ssim(xj, yj, p, want_grad)
-        else:
-            v, g = _channel_cs(xj, yj, p, want_grad)
-        if v <= 0.0:
-            raise ValueError(
-                f"non-positive similarity mean {v} at scale {j}; "
-                "MS-SSIM undefined for this pair")
-        vals.append(v)
-        grads.append(g)
-    ms = 1.0
-    for v, w in zip(vals, weights):
-        ms *= v ** w
-    if not want_grad:
-        return ms, None
-    total_grad = np.zeros_like(x)
-    for j in range(scales):
-        g = grads[j] * (ms * weights[j] / vals[j])
-        for k in range(j - 1, -1, -1):
-            g = _unpool_grad(g, levels[k][0].shape)
-        total_grad += g
-    return ms, total_grad
 
 
 def perceptual_loss(pred, target, w: LossWeights | None = None,
@@ -187,16 +79,15 @@ def perceptual_loss(pred, target, w: LossWeights | None = None,
         w = LossWeights()
     if p is None:
         p = SsimParams(dynamic_range=1.0)
-    scales = len(MS_SSIM_WEIGHTS)
-    pred, target = _check_pair(pred, target, p, scales)
+    pred, target = _check_pair(pred, target, p)
     d = pred - target
     l1 = float(np.mean(np.abs(d)))
     l2 = float(np.mean(d * d))
     ssim_vals = []
     ms_vals = []
     for c in range(pred.shape[0]):
-        s, _ = _channel_ssim(pred[c], target[c], p, False)
-        m, _ = _channel_msssim(pred[c], target[c], p, scales, MS_SSIM_WEIGHTS, False)
+        s, _ = ssim_term(pred[c], target[c], p, True, False)
+        m, _ = ms_ssim_pyramid(pred[c], target[c], p, MS_SSIM_WEIGHTS, False)
         ssim_vals.append(s)
         ms_vals.append(m)
     ssim_loss = 1.0 - sum(ssim_vals) / len(ssim_vals)
@@ -217,19 +108,17 @@ def perceptual_loss_grad(pred, target, w: LossWeights | None = None,
         w = LossWeights()
     if p is None:
         p = SsimParams(dynamic_range=1.0)
-    scales = len(MS_SSIM_WEIGHTS)
-    pred, target = _check_pair(pred, target, p, scales)
+    pred, target = _check_pair(pred, target, p)
     nch = pred.shape[0]
     n = pred.size
     d = pred - target
     grad = (w.w_l1 / n) * np.sign(d) + (2.0 * w.w_l2 / n) * d
     for c in range(nch):
         if w.w_ssim != 0.0:
-            _, gs = _channel_ssim(pred[c], target[c], p, True)
+            _, gs = ssim_term(pred[c], target[c], p, True, True)
             grad[c] -= w.w_ssim * gs / nch
         if w.w_msssim != 0.0:
-            _, gm = _channel_msssim(pred[c], target[c], p, scales,
-                                    MS_SSIM_WEIGHTS, True)
+            _, gm = ms_ssim_pyramid(pred[c], target[c], p, MS_SSIM_WEIGHTS, True)
             grad[c] -= w.w_msssim * gm / nch
     return grad
 

@@ -5,6 +5,12 @@ All statistics are computed in float64. SSIM uses an 11x11 Gaussian window
 (sigma 1.5) over valid (non-padded) positions; MS-SSIM takes the mean
 contrast-structure term at the four finer scales, full SSIM at the
 coarsest, exponentiated by the standard weights.
+
+The SSIM maths lives here once: `ssim_term` is the per-scale kernel (mean
+SSIM or contrast-structure term, plus its gradient through the adjoint of
+the window filter) and `ms_ssim_pyramid` combines it over scales (plus the
+gradient through the adjoint of 2x2 mean pooling). `ssim`, `ms_ssim` and
+the structural terms of `losses` all call these two functions.
 """
 
 from __future__ import annotations
@@ -101,13 +107,43 @@ def _local_stats(x: np.ndarray, y: np.ndarray, p: SsimParams):
     return mu_x, mu_y, var_x, var_y, cov
 
 
-def ssim_and_cs_maps(x: np.ndarray, y: np.ndarray, p: SsimParams):
-    """Per-position SSIM and contrast-structure maps over valid windows."""
+def ssim_term(x: np.ndarray, y: np.ndarray, p: SsimParams, luminance: bool,
+              want_grad: bool):
+    """Mean SSIM (with `luminance`) or mean contrast-structure term of one
+    plane pair over valid windows, and optionally its gradient w.r.t. x."""
     mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, p)
     c1, c2 = p.c1, p.c2
-    lum = (2.0 * mu_x * mu_y + c1) / (mu_x ** 2 + mu_y ** 2 + c1)
-    cs = (2.0 * cov + c2) / (var_x + var_y + c2)
-    return lum * cs, cs
+    a2 = 2.0 * cov + c2
+    b2 = var_x + var_y + c2
+    del var_x, var_y, cov  # unused from here; freeing them bounds peak memory
+    cs = a2 / b2
+    if luminance:
+        a1 = 2.0 * mu_x * mu_y + c1
+        b1 = mu_x ** 2 + mu_y ** 2 + c1
+        lum = a1 / b1
+        term = lum * cs
+    else:
+        lum = 1.0
+        term = cs
+    mean = float(np.mean(term))
+    if not want_grad:
+        return mean, None
+    taps = p.taps
+    half = p.window_size // 2
+
+    def adjoint_filter(partial):
+        # transpose of filter_valid: zero-pad back to the full grid, correlate
+        out = correlate1d(np.pad(partial, half), taps, axis=0, mode="constant")
+        return correlate1d(out, taps, axis=1, mode="constant")
+
+    d_var = -lum * a2 / (b2 * b2)                 # d term / d(var_x)
+    d_cov = 2.0 * lum / b2                        # d term / d(cov)
+    d_lum = cs * (2.0 * mu_y * b1 - 2.0 * mu_x * a1) / (b1 * b1) if luminance else 0.0
+    d_mu = d_lum + d_var * (-2.0 * mu_x) + d_cov * (-mu_y)
+    grad = (adjoint_filter(d_mu)
+            + 2.0 * x * adjoint_filter(d_var)
+            + y * adjoint_filter(d_cov)) / term.size
+    return mean, grad
 
 
 def psnr_y(ref, dist, dynamic_range: float = 255.0) -> float:
@@ -131,8 +167,7 @@ def ssim(ref, dist, p: SsimParams | None = None) -> float:
     if min(a.shape) < p.window_size:
         raise ValueError(
             f"input {a.shape} smaller than the {p.window_size}x{p.window_size} window")
-    s, _ = ssim_and_cs_maps(a, b, p)
-    return float(np.mean(s))
+    return ssim_term(a, b, p, True, False)[0]
 
 
 def mean_pool2(img: np.ndarray) -> np.ndarray:
@@ -140,6 +175,41 @@ def mean_pool2(img: np.ndarray) -> np.ndarray:
     h, w = img.shape
     img = img[:h - h % 2, :w - w % 2]
     return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+
+
+def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams,
+                    weights: Sequence[float], want_grad: bool):
+    """MS-SSIM of one plane pair over len(weights) scales, and optionally
+    its gradient w.r.t. x."""
+    scales = len(weights)
+    shapes, vals, grads = [], [], []
+    for j in range(scales):
+        if j:
+            x, y = mean_pool2(x), mean_pool2(y)
+        shapes.append(x.shape)
+        v, g = ssim_term(x, y, p, j == scales - 1, want_grad)
+        if v <= 0.0:
+            raise ValueError(
+                f"non-positive similarity mean {v} at scale {j}; "
+                "MS-SSIM undefined for this pair")
+        vals.append(v)
+        grads.append(g)
+    ms = 1.0
+    for v, w in zip(vals, weights):
+        ms *= v ** w
+    if not want_grad:
+        return ms, None
+    total_grad = np.zeros(shapes[0], dtype=np.float64)
+    for j in range(scales):
+        g = grads[j] * (ms * weights[j] / vals[j])
+        for k in range(j - 1, -1, -1):
+            # adjoint of 2x2 mean pooling; zeros on a cropped odd row/column
+            up = np.zeros(shapes[k], dtype=np.float64)
+            h2, w2 = g.shape
+            up[:2 * h2, :2 * w2] = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) * 0.25
+            g = up
+        total_grad += g
+    return ms, total_grad
 
 
 def ms_ssim(ref, dist, p: SsimParams | None = None, scales: int = 5,
@@ -158,22 +228,7 @@ def ms_ssim(ref, dist, p: SsimParams | None = None, scales: int = 5,
         raise ValueError(
             f"input {a.shape} too small for {scales}-scale MS-SSIM; "
             f"minimum dimension is {min_dim}")
-    result = 1.0
-    for j in range(scales):
-        s_map, cs_map = ssim_and_cs_maps(a, b, p)
-        if j == scales - 1:
-            val = float(np.mean(s_map))
-        else:
-            val = float(np.mean(cs_map))
-        if val <= 0.0:
-            raise ValueError(
-                f"non-positive similarity mean {val} at scale {j}; "
-                "MS-SSIM undefined for this pair")
-        result *= val ** weights[j]
-        if j < scales - 1:
-            a = mean_pool2(a)
-            b = mean_pool2(b)
-    return result
+    return ms_ssim_pyramid(a, b, p, weights, False)[0]
 
 
 @dataclass

@@ -153,20 +153,6 @@ def pixel_shuffle(t, r: int) -> np.ndarray:
              .reshape(c, h * r, w * r))
 
 
-def pixel_unshuffle(t, r: int) -> np.ndarray:
-    """Inverse of pixel_shuffle: [C,H*r,W*r] -> [C*r*r,H,W]."""
-    t = _as_f32(t)
-    if t.ndim != 3:
-        raise ValueError(f"pixel_unshuffle input must be 3-D, got shape {t.shape}")
-    c, hr, wr = t.shape
-    if hr % r != 0 or wr % r != 0:
-        raise ValueError(f"spatial dims {hr}x{wr} not divisible by {r}")
-    h, w = hr // r, wr // r
-    return (t.reshape(c, h, r, w, r)
-             .transpose(0, 2, 4, 1, 3)
-             .reshape(c * r * r, h, w))
-
-
 def window_partition(t, w: int) -> np.ndarray:
     """Split t[C,H,W] into non-overlapping w x w windows -> [nW, w*w, C].
 

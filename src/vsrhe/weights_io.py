@@ -80,19 +80,23 @@ def load_weights(source: BinaryIO, cfg: NetworkConfig | None = None):
     if zlib.crc32(header) != stored_crc:
         raise ValueError("weight file header checksum mismatch")
     meta = json.loads(header.decode("utf-8"))
-    file_cfg = NetworkConfig.from_dict(meta["config"])
+    try:
+        file_cfg = NetworkConfig.from_dict(meta["config"])
+        directory = [(e["name"], e["dtype"], tuple(e["shape"]), e["offset"])
+                     for e in meta["tensors"]]
+    except KeyError as e:
+        raise ValueError(f"weight file header is missing key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed weight file header: {e}") from None
     if cfg is None:
         cfg = file_cfg
 
     payload = source.read()
     weights = {}
-    for entry in meta["tensors"]:
-        name = entry["name"]
-        if entry["dtype"] != "f32":
-            raise ValueError(f"tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
+    for name, dtype, shape, start in directory:
+        if dtype != "f32":
+            raise ValueError(f"tensor {name!r} has unsupported dtype {dtype!r}")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = start + count * 4
         if end > len(payload):
             raise ValueError(f"truncated weight file: tensor {name!r} payload incomplete")

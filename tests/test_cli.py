@@ -1,5 +1,7 @@
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -126,6 +128,16 @@ class TestUpscale:
                         "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # neither input exists: the variable must be rejected before any read
+        monkeypatch.setenv("VSRHE_THREADS", "abc")
+        out = tmp_path / "o.y4m"
+        rc = cli.run(["upscale", "--in", str(tmp_path / "none.y4m"),
+                      "--weights", str(tmp_path / "none.vsrhe"), "--out", str(out)])
+        assert rc == 1
+        assert "VSRHE_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_weights(self, tmp_path, video_64):
         wpath = tmp_path / "bad.vsrhe"
         wpath.write_bytes(b"NOTAWGT0" + b"\0" * 64)
@@ -248,6 +260,32 @@ class TestInspectWeights:
 
     def test_missing_file(self, tmp_path):
         assert cli.run(["inspect-weights", str(tmp_path / "none.vsrhe")]) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda m: m.pop("config"),
+        lambda m: m["config"].update(unknown_key=1),
+        lambda m: m.pop("tensors"),
+        lambda m: m["tensors"][0].pop("name"),
+        lambda m: m["tensors"][0].pop("dtype"),
+        lambda m: m["tensors"][0].pop("shape"),
+        lambda m: m["tensors"][0].pop("offset"),
+    ], ids=["no-config", "unknown-config-key", "no-tensors", "entry-no-name",
+            "entry-no-dtype", "entry-no-shape", "entry-no-offset"])
+    def test_malformed_header(self, tmp_path, capsys, damage):
+        # a damaged header under a valid checksum is a processing error, not a traceback
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        data = wpath.read_bytes()
+        start = len(weights_io.MAGIC) + 64
+        (hlen,) = struct.unpack("<I", data[start:start + 4])
+        meta = json.loads(data[start + 4:start + 4 + hlen])
+        damage(meta)
+        header = json.dumps(meta).encode("utf-8")
+        crc = struct.pack("<I", zlib.crc32(header)).ljust(64, b"\0")
+        wpath.write_bytes(weights_io.MAGIC + crc + struct.pack("<I", len(header))
+                          + header + data[start + 4 + hlen:])
+        assert cli.run(["inspect-weights", str(wpath)]) == 2
+        assert "weight file header" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vsrhe import losses
+from vsrhe import losses, metrics
 from vsrhe.losses import LossWeights, fd_gradient, perceptual_loss, perceptual_loss_grad, total_loss
 from vsrhe.metrics import SsimParams
 
@@ -54,6 +54,16 @@ class TestPerceptualLoss:
         w = LossWeights(w_l1=1.0, w_ssim=0.0, w_l2=0.0, w_msssim=0.0)
         b = perceptual_loss(pred, target, w)
         assert abs(b.total - b.l1) < 1e-12
+
+    def test_structural_terms_match_metrics(self):
+        # losses and metrics share one SSIM kernel, so the values agree exactly
+        pred, target = grad_check_pair(8)
+        p = SsimParams(dynamic_range=1.0)
+        b = perceptual_loss(pred, target, p=p)
+        ssim_vals = [metrics.ssim(pred[c], target[c], p) for c in range(3)]
+        ms_vals = [metrics.ms_ssim(pred[c], target[c], p) for c in range(3)]
+        assert b.ssim_loss == 1.0 - sum(ssim_vals) / len(ssim_vals)
+        assert b.msssim_loss == 1.0 - sum(ms_vals) / len(ms_vals)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="geometry"):

