@@ -1,5 +1,5 @@
 """Command-line entry point: upscale, downscale, metrics, prepare-data,
-bench, inspect-weights, selftest.
+bench, inspect-weights.
 
 Exit codes: 0 success, 1 usage error (nothing written), 2 processing
 error. Output files are written to a temp path and renamed on success, so
@@ -16,8 +16,6 @@ import re
 import sys
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import dataprep, frame_io, metrics, network, pipeline, resample, weights_io
 from .frame_io import C420
@@ -92,9 +90,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("inspect-weights", help="print weight file config and complexity")
     p.add_argument("path")
-    add_common(p)
-
-    p = sub.add_parser("selftest", help="run the embedded verification suite")
     add_common(p)
 
     return parser
@@ -207,6 +202,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     ref = _read_video(args.ref)
+    if not ref.frames:
+        raise ValueError("reference has no frames")
     f0 = ref.frames[0]
     if f0.width % 4 or f0.height % 4:
         raise ValueError(f"reference {f0.width}x{f0.height} not divisible by 4")
@@ -235,6 +232,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_prepare_data(args) -> int:
+    if args.count < 1:
+        raise _UsageError(f"--count must be at least 1, got {args.count}")
     qp_list = [int(q) for q in args.qp_list.split(",") if q.strip()]
     lr_dir, hr_dir = Path(args.lr_dir), Path(args.hr_dir)
     lr_files = sorted(p for p in lr_dir.iterdir()
@@ -249,12 +248,20 @@ def _cmd_prepare_data(args) -> int:
         m = re.search(r"qp(\d+)", lr_path.stem, re.IGNORECASE)
         qp = int(m.group(1)) if m else (qp_list[0] if qp_list else 0)
         sources.append((lr_path, hr_path, qp))
-    per_source = max(1, args.count // len(sources))
+    per_source = args.count // len(sources)
+    if per_source:
+        # every source but the last gives per_source pairs; the last, the rest
+        counts = [per_source] * (len(sources) - 1)
+        counts.append(args.count - per_source * (len(sources) - 1))
+    else:
+        # fewer pairs than sources: one pair from each of the first sources
+        counts = [1] * args.count + [0] * (len(sources) - args.count)
     pairs = []
-    for i, (lr_path, hr_path, qp) in enumerate(sources):
+    for i, ((lr_path, hr_path, qp), n) in enumerate(zip(sources, counts)):
+        if not n:
+            continue
         lr_seq = _read_video(str(lr_path))
         hr_seq = _read_video(str(hr_path))
-        n = per_source if i < len(sources) - 1 else args.count - per_source * (len(sources) - 1)
         pairs.extend(dataprep.extract_patch_pairs(
             lr_seq, hr_seq, n, seed=args.seed + i, qp_label=qp,
             source_id=lr_path.stem))
@@ -282,104 +289,6 @@ def _cmd_inspect_weights(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    failures = 0
-
-    def check(name, fn):
-        nonlocal failures
-        try:
-            fn()
-            print(f"PASS {name}")
-        except Exception as e:
-            failures += 1
-            print(f"FAIL {name}: {e}")
-
-    from . import tensor_ops
-
-    def conv_check():
-        x = np.ones((1, 3, 3), dtype=np.float32)
-        k = np.ones((1, 1, 3, 3), dtype=np.float32)
-        out = tensor_ops.conv2d(x, k, np.zeros(1, np.float32), padding=1)
-        assert out[0, 1, 1] == 9.0
-
-    def softmax_check():
-        s = tensor_ops.softmax(np.array([1000.0, 0.0], np.float32))
-        assert abs(float(s.sum()) - 1.0) < 1e-6 and s[0] > 0.999
-
-    def y4m_check():
-        rng = np.random.Generator(np.random.PCG64(7))
-        f = frame_io.Frame(y=rng.integers(0, 256, (4, 6), dtype=np.uint8),
-                           cb=rng.integers(0, 256, (2, 3), dtype=np.uint8),
-                           cr=rng.integers(0, 256, (2, 3), dtype=np.uint8))
-        seq = frame_io.VideoSequence(frames=[f])
-        buf = io.BytesIO()
-        frame_io.write_y4m(seq, buf)
-        buf.seek(0)
-        back = frame_io.parse_y4m(buf)
-        assert np.array_equal(back.frames[0].y, f.y)
-        buf2 = io.BytesIO()
-        frame_io.write_y4m(back, buf2)
-        assert buf.getvalue() == buf2.getvalue()
-
-    def chroma_check():
-        rng = np.random.Generator(np.random.PCG64(8))
-        f = frame_io.Frame(y=rng.integers(0, 256, (8, 8), dtype=np.uint8),
-                           cb=rng.integers(0, 256, (4, 4), dtype=np.uint8),
-                           cr=rng.integers(0, 256, (4, 4), dtype=np.uint8))
-        rt = frame_io.chroma_downsample_mean(frame_io.chroma_upsample_nn(f))
-        assert np.array_equal(rt.cb, f.cb) and np.array_equal(rt.cr, f.cr)
-
-    def weights_check():
-        cfg = network.NetworkConfig(channel_dim=8, blocks=1, window_sizes=(4,),
-                                    heads=2, input_size=8)
-        w = network.init_random(cfg, 1)
-        buf = io.BytesIO()
-        weights_io.save_weights(w, cfg, buf)
-        buf.seek(0)
-        back, _ = weights_io.load_weights(buf)
-        assert all(np.array_equal(back[k], w[k]) for k in w)
-
-    def ssim_check():
-        rng = np.random.Generator(np.random.PCG64(9))
-        a = rng.random((32, 32)) * 255
-        assert abs(metrics.ssim(a, a) - 1.0) < 1e-12
-
-    def schedule_check():
-        assert dataprep.lr_schedule(0) == 1e-4
-        assert dataprep.lr_schedule(150000) == 2.5e-5
-        assert dataprep.lr_schedule(300000) == 6.25e-6
-
-    def tiling_check():
-        plan = pipeline.plan_tiles(320, 180)
-        cover = np.zeros((180 + plan.pad_bottom, 320 + plan.pad_right), bool)
-        for ox, oy in plan.origins:
-            cover[oy:oy + 64, ox:ox + 64] = True
-        assert cover.all()
-        w = pipeline.blend_weight_map(plan)
-        assert (w > 0).all()
-
-    def resample_check():
-        plane = np.full((16, 16), 7.0, np.float32)
-        out = resample.resample_plane(plane, 4, 4, resample.KernelSpec.bicubic())
-        assert np.allclose(out, 7.0, atol=1e-5)
-
-    check("conv2d center sum", conv_check)
-    check("softmax stability", softmax_check)
-    check("y4m round trip", y4m_check)
-    check("chroma round trip", chroma_check)
-    check("weight file round trip", weights_check)
-    check("ssim identity", ssim_check)
-    check("lr schedule", schedule_check)
-    check("tile coverage", tiling_check)
-    check("resampler constant preservation", resample_check)
-
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 2
-    print("all checks passed")
-    return 0
-
-
 _COMMANDS = {
     "upscale": _cmd_upscale,
     "downscale": _cmd_downscale,
@@ -387,7 +296,6 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "prepare-data": _cmd_prepare_data,
     "inspect-weights": _cmd_inspect_weights,
-    "selftest": _cmd_selftest,
 }
 
 

@@ -191,7 +191,6 @@ def parse_y4m(stream: BinaryIO) -> VideoSequence:
 def write_y4m(seq: VideoSequence, sink: BinaryIO) -> None:
     """Write a Y4M stream with canonical header token order W,H,F,I,A,C."""
     if not seq.frames:
-        # geometry is unknowable; still emit a minimal signature-only stream
         raise ValueError("cannot write Y4M for an empty sequence (no geometry)")
     f0 = seq.frames[0]
     parts = [b"YUV4MPEG2", f"W{f0.width}".encode(), f"H{f0.height}".encode()]
@@ -214,17 +213,12 @@ def write_y4m(seq: VideoSequence, sink: BinaryIO) -> None:
 
 
 def read_raw_yuv(stream: BinaryIO, width: int, height: int,
-                 subsampling: str = C420, frame_count: int | None = None) -> VideoSequence:
+                 subsampling: str = C420) -> VideoSequence:
     """Read headerless planar YUV (Y then Cb then Cr per frame)."""
     if subsampling == C420 and (width % 2 or height % 2):
         raise ValueError(f"C420 requires even dimensions, got {width}x{height}")
     fsize = _frame_bytes(width, height, subsampling)
     data = stream.read()
-    if frame_count is not None:
-        need = fsize * frame_count
-        if len(data) < need:
-            raise ValueError(f"stream holds {len(data)} bytes, need {need} for {frame_count} frames")
-        data = data[:need]
     if len(data) % fsize != 0:
         raise ValueError(
             f"stream length {len(data)} is not a multiple of frame size {fsize} "

@@ -324,5 +324,8 @@ def read_vmaf_csv(source) -> dict:
     for row in reader:
         if not row or row[0].strip().lower() in ("frame", ""):
             continue
+        if len(row) < 2:
+            raise ValueError(f"VMAF CSV line {reader.line_num}: expected frame,vmaf, "
+                             f"got {','.join(row)!r}")
         scores[int(row[0])] = float(row[1])
     return scores

@@ -188,10 +188,6 @@ def hiet_layer_forward(x, weights: dict, prefix: str, window: int,
     x + WMSA(LN(x)), then + MLP(LN(.)).
     """
     c, h, w_dim = x.shape
-    if h % window or w_dim % window:
-        raise ValueError(
-            f"window {window} does not divide grid {h}x{w_dim} "
-            f"(pad by {(-h) % window} rows, {(-w_dim) % window} cols)")
     hd = c // heads
     t = window_partition(x, window)          # (nW, T, C)
     n_win, tok, _ = t.shape
@@ -228,7 +224,7 @@ def hiet_block_forward(x, weights: dict, block: int, cfg: NetworkConfig) -> np.n
     for l, win in enumerate(cfg.window_sizes):
         y = hiet_layer_forward(y, weights, f"block{block}.layer{l}.", win, cfg.heads)
     y = conv2d(y, weights[f"block{block}.fuse.weight"],
-               weights[f"block{block}.fuse.bias"], padding=1)
+               weights[f"block{block}.fuse.bias"])
     return x + y
 
 
@@ -249,17 +245,17 @@ def forward(x, weights: dict, cfg: NetworkConfig) -> np.ndarray:
                 f"spatial dims {h}x{w} not divisible by window size {win}")
     validate_weights(weights, cfg)
 
-    head = conv2d(x, weights["head.conv.weight"], weights["head.conv.bias"], padding=1)
+    head = conv2d(x, weights["head.conv.weight"], weights["head.conv.bias"])
     f = head
     for b in range(cfg.blocks):
         f = hiet_block_forward(f, weights, b, cfg)
-    f = conv2d(f, weights["body.conv.weight"], weights["body.conv.bias"], padding=1)
+    f = conv2d(f, weights["body.conv.weight"], weights["body.conv.bias"])
     f = f + head
     for s in range(cfg.upsample_stages):
         f = conv2d(f, weights[f"tail.up{s}.conv.weight"],
-                   weights[f"tail.up{s}.conv.bias"], padding=1)
+                   weights[f"tail.up{s}.conv.bias"])
         f = pixel_shuffle(f, 2)
-    return conv2d(f, weights["tail.out.weight"], weights["tail.out.bias"], padding=1)
+    return conv2d(f, weights["tail.out.weight"], weights["tail.out.bias"])
 
 
 def count_params(cfg: NetworkConfig) -> int:

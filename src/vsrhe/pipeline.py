@@ -127,8 +127,7 @@ def blend_weight_map(plan: TilePlan, scale: int = 4) -> np.ndarray:
     return acc
 
 
-def upscale_frame(frame: Frame, model, overlap: int = 8,
-                  plan: TilePlan | None = None, threads: int = 1,
+def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
                   progress=None, frame_index: int = 0) -> Frame:
     """Super-resolve one C420 frame to scale x dimensions.
 
@@ -142,12 +141,7 @@ def upscale_frame(frame: Frame, model, overlap: int = 8,
     tile = getattr(model, "tile", 64)
     f444 = chroma_upsample_nn(frame)
     x = np.stack(to_normalized(f444))
-    if plan is None:
-        plan = plan_tiles(frame.width, frame.height, tile=tile, overlap=overlap)
-    elif (plan.width, plan.height) != (frame.width, frame.height):
-        raise ValueError(
-            f"tile plan geometry {plan.width}x{plan.height} does not match "
-            f"frame {frame.width}x{frame.height}")
+    plan = plan_tiles(frame.width, frame.height, tile=tile, overlap=overlap)
     x = _pad_reflect_rb(x, plan.pad_bottom, plan.pad_right)
 
     hr_h = plan.padded_height * scale
@@ -183,15 +177,10 @@ def upscale_sequence(seq: VideoSequence, model, overlap: int = 8,
                      threads: int = 1, progress=None) -> VideoSequence:
     """Frame-wise map of upscale_frame; no temporal state."""
     frames = []
-    plan = None
     for i, f in enumerate(seq.frames):
-        if plan is None:
-            tile = getattr(model, "tile", 64)
-            plan = plan_tiles(f.width, f.height, tile=tile, overlap=overlap)
         try:
-            frames.append(upscale_frame(f, model, overlap=overlap, plan=plan,
-                                        threads=threads, progress=progress,
-                                        frame_index=i))
+            frames.append(upscale_frame(f, model, overlap=overlap, threads=threads,
+                                        progress=progress, frame_index=i))
         except Exception as e:
             raise RuntimeError(f"frame {i}: {e}") from e
     return VideoSequence(frames=frames, frame_rate=seq.frame_rate,

@@ -30,11 +30,12 @@ def _as_f32(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float32)
 
 
-def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0,
-           pad_mode: str = "zero") -> np.ndarray:
+def conv2d(x, kernel, bias) -> np.ndarray:
     """2-D convolution (cross-correlation) of x[C_in,H,W] with kernel[C_out,C_in,kH,kW].
 
-    Direct evaluation via im2col; no FFT. kH and kW must be odd.
+    Stride 1, with zero padding of kH//2 rows and kW//2 columns on each
+    side, so the output keeps the input's H x W ("same" size). Direct
+    evaluation via im2col; no FFT. kH and kW must be odd.
     """
     x = _as_f32(x)
     kernel = _as_f32(kernel)
@@ -51,36 +52,18 @@ def conv2d(x, kernel, bias, stride: int = 1, padding: int = 0,
             f"input channel dim {x.shape[0]} does not match kernel C_in {c_in}")
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match C_out {c_out}")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    if padding < 0:
-        raise ValueError(f"padding must be non-negative, got {padding}")
     _, h, w = x.shape
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ValueError(
-            f"padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {kh}x{kw}")
-
-    if padding > 0:
-        if pad_mode == "zero":
-            x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-        elif pad_mode == "reflect":
-            x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)), mode="reflect")
-        else:
-            raise ValueError(f"unknown pad_mode {pad_mode!r}")
-
-    _, hp, wp = x.shape
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
+    x = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
 
     # im2col, kernel-row-major tap order to match the kernel layout
-    cols = np.empty((c_in, kh, kw, out_h, out_w), dtype=np.float32)
+    cols = np.empty((c_in, kh, kw, h, w), dtype=np.float32)
     for a in range(kh):
         for b in range(kw):
-            cols[:, a, b] = x[:, a:a + stride * out_h:stride, b:b + stride * out_w:stride]
-    cols = cols.reshape(c_in * kh * kw, out_h * out_w)
+            cols[:, a, b] = x[:, a:a + h, b:b + w]
+    cols = cols.reshape(c_in * kh * kw, h * w)
     out = kernel.reshape(c_out, c_in * kh * kw) @ cols
     out += bias[:, None]
-    return out.reshape(c_out, out_h, out_w)
+    return out.reshape(c_out, h, w)
 
 
 def matmul(a, b) -> np.ndarray:

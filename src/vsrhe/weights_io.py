@@ -57,11 +57,11 @@ def save_weights(weights: dict, cfg: NetworkConfig, sink: BinaryIO) -> None:
         sink.write(np.ascontiguousarray(weights[name], dtype=np.float32).tobytes())
 
 
-def load_weights(source: BinaryIO, cfg: NetworkConfig | None = None):
+def load_weights(source: BinaryIO):
     """Read a weight file; returns (weights, config).
 
-    Every tensor name and shape is validated against `cfg` (or the embedded
-    config when none is given); nothing is returned on failure.
+    The config is always the one embedded in the file, and every tensor name
+    and shape is validated against it; nothing is returned on failure.
     """
     magic = source.read(len(MAGIC))
     if magic != MAGIC:
@@ -81,15 +81,13 @@ def load_weights(source: BinaryIO, cfg: NetworkConfig | None = None):
         raise ValueError("weight file header checksum mismatch")
     meta = json.loads(header.decode("utf-8"))
     try:
-        file_cfg = NetworkConfig.from_dict(meta["config"])
+        cfg = NetworkConfig.from_dict(meta["config"])
         directory = [(e["name"], e["dtype"], tuple(e["shape"]), e["offset"])
                      for e in meta["tensors"]]
     except KeyError as e:
         raise ValueError(f"weight file header is missing key {e}") from None
     except TypeError as e:
         raise ValueError(f"malformed weight file header: {e}") from None
-    if cfg is None:
-        cfg = file_cfg
 
     payload = source.read()
     weights = {}

@@ -188,6 +188,19 @@ class TestMetrics:
         assert lines[0].endswith(",vmaf")
         assert "90.5" in lines[1]
 
+    def test_vmaf_row_without_score(self, rng, tmp_path, capsys):
+        ref = tmp_path / "ref.y4m"
+        write_y4m(ref, make_video(rng, 16, 16, 1))
+        vmaf = tmp_path / "vmaf.csv"
+        vmaf.write_text("frame,vmaf\n0\n")
+        out = tmp_path / "o.csv"
+        rc = cli.run(["metrics", "--ref", str(ref), "--dist", str(ref),
+                      "--metrics", "psnr", "--vmaf-csv", str(vmaf),
+                      "--out", str(out)])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_table(self, rng, tmp_path):
@@ -215,8 +228,51 @@ class TestBench:
                       "--out", str(tmp_path / "t.txt")])
         assert rc == 1
 
+    def test_reference_without_frames(self, tmp_path, capsys):
+        ref = tmp_path / "ref.y4m"
+        ref.write_bytes(b"YUV4MPEG2 W256 H256 F25:1 C420\n")
+        out = tmp_path / "t.txt"
+        rc = cli.run(["bench", "--ref", str(ref), "--methods", "bicubic",
+                      "--out", str(out)])
+        assert rc == 2
+        assert "reference has no frames" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def three_sources(rng, tmp_path):
+    lr_dir = tmp_path / "lr"
+    hr_dir = tmp_path / "hr"
+    lr_dir.mkdir()
+    hr_dir.mkdir()
+    for name in ("a_qp22.y4m", "b_qp27.y4m", "c_qp32.y4m"):
+        write_y4m(lr_dir / name, make_video(rng, 96, 80, 1))
+        write_y4m(hr_dir / name, make_video(rng, 384, 320, 1))
+    return lr_dir, hr_dir
+
 
 class TestPrepareData:
+    @pytest.mark.parametrize("count,qps", [(1, {22}), (2, {22, 27})], ids=["1", "2"])
+    def test_fewer_pairs_than_sources(self, rng, tmp_path, count, qps):
+        lr_dir, hr_dir = three_sources(rng, tmp_path)
+        out = tmp_path / "train.jsonl"
+        rc = cli.run(["prepare-data", "--lr-dir", str(lr_dir), "--hr-dir",
+                      str(hr_dir), "--count", str(count), "--out", str(out)])
+        assert rc == 0
+        from vsrhe import dataprep
+        m = dataprep.read_manifest(out)
+        assert len(m) == count
+        assert {r["qp"] for r in m.records} == qps
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        # neither directory exists: the count must be rejected before any read
+        out = tmp_path / "m.jsonl"
+        rc = cli.run(["prepare-data", "--lr-dir", str(tmp_path / "lr"), "--hr-dir",
+                      str(tmp_path / "hr"), "--count", count, "--out", str(out)])
+        assert rc == 1
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_end_to_end(self, rng, tmp_path):
         lr_dir = tmp_path / "lr"
         hr_dir = tmp_path / "hr"
@@ -286,12 +342,3 @@ class TestInspectWeights:
                           + header + data[start + 4 + hlen:])
         assert cli.run(["inspect-weights", str(wpath)]) == 2
         assert "weight file header" in capsys.readouterr().err
-
-
-class TestSelftest:
-    def test_passes(self, capsys):
-        assert cli.run(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 9

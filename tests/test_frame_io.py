@@ -110,13 +110,6 @@ class TestRawYuv:
         with pytest.raises(ValueError, match="5 trailing bytes"):
             frame_io.read_raw_yuv(io.BytesIO(b"\0" * (24 + 5)), 4, 4, C420)
 
-    def test_frame_count_limit(self, rng):
-        seq = make_video(rng, 4, 4, 3)
-        buf = io.BytesIO()
-        frame_io.write_raw_yuv(seq, buf)
-        buf.seek(0)
-        assert len(frame_io.read_raw_yuv(buf, 4, 4, C420, frame_count=2)) == 2
-
 
 class TestChroma:
     def test_replication(self):

@@ -1,4 +1,7 @@
 import io
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -112,7 +115,7 @@ class TestBlock:
         y = x
         for l, win in enumerate(SMALL.window_sizes):
             y = network.hiet_layer_forward(y, w, f"block1.layer{l}.", win, SMALL.heads)
-        y = conv2d(y, w["block1.fuse.weight"], w["block1.fuse.bias"], padding=1)
+        y = conv2d(y, w["block1.fuse.weight"], w["block1.fuse.bias"])
         assert np.array_equal(out, x + y)
 
 
@@ -208,6 +211,24 @@ class TestWeightsIO:
         with pytest.raises(ValueError, match="truncated"):
             weights_io.load_weights(io.BytesIO(data[:len(data) - 100]))
 
+    def test_wrong_config_names_tensor(self):
+        # tensors are validated against the embedded config: a header that
+        # claims another width under a valid checksum names the first misfit
+        w = network.init_random(TINY, 4)
+        buf = io.BytesIO()
+        weights_io.save_weights(w, TINY, buf)
+        data = buf.getvalue()
+        start = len(weights_io.MAGIC) + 64
+        (hlen,) = struct.unpack("<I", data[start:start + 4])
+        meta = json.loads(data[start + 4:start + 4 + hlen])
+        meta["config"]["channel_dim"] = 4
+        header = json.dumps(meta).encode("utf-8")
+        crc = struct.pack("<I", zlib.crc32(header)).ljust(64, b"\0")
+        data = (weights_io.MAGIC + crc + struct.pack("<I", len(header)) + header
+                + data[start + 4 + hlen:])
+        with pytest.raises(ValueError, match="head.conv.weight"):
+            weights_io.load_weights(io.BytesIO(data))
+
     def test_checksum_mismatch(self):
         w = network.init_random(TINY, 4)
         buf = io.BytesIO()
@@ -216,16 +237,6 @@ class TestWeightsIO:
         data[80] ^= 0xFF  # corrupt a header byte
         with pytest.raises(ValueError, match="checksum"):
             weights_io.load_weights(io.BytesIO(bytes(data)))
-
-    def test_wrong_config_names_tensor(self):
-        w = network.init_random(TINY, 4)
-        buf = io.BytesIO()
-        weights_io.save_weights(w, TINY, buf)
-        buf.seek(0)
-        other = NetworkConfig(channel_dim=4, blocks=1, window_sizes=(4,),
-                              heads=2, input_size=8)
-        with pytest.raises(ValueError, match="head.conv.weight"):
-            weights_io.load_weights(buf, other)
 
 
 class TestComplexity:

@@ -116,11 +116,6 @@ class TestUpscaleFrame:
         with pytest.raises(ValueError, match="C420"):
             upscale_frame(make_frame(rng, 64, 64, C444), NearestStub())
 
-    def test_plan_mismatch(self, rng):
-        plan = plan_tiles(64, 64)
-        with pytest.raises(ValueError, match="plan geometry"):
-            upscale_frame(make_frame(rng, 128, 64), NearestStub(), plan=plan)
-
     def test_progress_lines(self, rng):
         buf = io.StringIO()
         upscale_frame(make_frame(rng, 120, 64), NearestStub(), progress=buf,

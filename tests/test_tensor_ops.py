@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from vsrhe import tensor_ops as ops
 
 
-def conv2d_oracle(x, k, bias, stride=1, padding=0):
-    """Brute-force six-nested-loop convolution in float64."""
+def conv2d_oracle(x, k, bias, padding=0):
+    """Brute-force six-nested-loop convolution in float64, stride 1."""
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     c_out, c_in, kh, kw = k.shape
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     _, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    oh = h - kh + 1
+    ow = w - kw + 1
     out = np.zeros((c_out, oh, ow))
     for co in range(c_out):
         for i in range(oh):
@@ -27,7 +27,7 @@ def conv2d_oracle(x, k, bias, stride=1, padding=0):
                 for ci in range(c_in):
                     for a in range(kh):
                         for b in range(kw):
-                            acc += k[co, ci, a, b] * x[ci, i * stride + a, j * stride + b]
+                            acc += k[co, ci, a, b] * x[ci, i + a, j + b]
                 out[co, i, j] = acc + bias[co]
     return out
 
@@ -53,7 +53,7 @@ class TestConv2d:
     def test_sum_of_ones(self):
         out = ops.conv2d(np.ones((1, 3, 3), np.float32),
                          np.ones((1, 1, 3, 3), np.float32),
-                         np.zeros(1, np.float32), padding=1)
+                         np.zeros(1, np.float32))
         assert out[0, 1, 1] == 9.0
 
     def test_identity_kernel(self, rng):
@@ -68,25 +68,19 @@ class TestConv2d:
         x = rng.random((2, 5, 5), dtype=np.float32)
         k = rng.random((3, 2, 3, 3), dtype=np.float32)
         b = rng.random(3).astype(np.float32)
-        out = ops.conv2d(x, k, b, padding=1)
+        out = ops.conv2d(x, k, b)
         ref = conv2d_oracle(x, k, b, padding=1)
         np.testing.assert_allclose(out, ref, rtol=1e-5)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (1, 2)])
-    def test_randomized_vs_oracle(self, rng, stride, padding):
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_randomized_vs_oracle(self, rng, ksize):
         x = rng.standard_normal((3, 9, 8)).astype(np.float32)
-        k = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        k = rng.standard_normal((2, 3, ksize, ksize)).astype(np.float32)
         b = rng.standard_normal(2).astype(np.float32)
-        out = ops.conv2d(x, k, b, stride=stride, padding=padding)
-        ref = conv2d_oracle(x, k, b, stride=stride, padding=padding)
+        out = ops.conv2d(x, k, b)
+        assert out.shape == (2, 9, 8)
+        ref = conv2d_oracle(x, k, b, padding=ksize // 2)
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
-
-    def test_reflect_padding(self, rng):
-        x = rng.random((1, 4, 4), dtype=np.float32)
-        k = np.zeros((1, 1, 3, 3), np.float32)
-        k[0, 0, 0, 0] = 1.0  # picks up the (-1,-1) neighbor
-        out = ops.conv2d(x, k, np.zeros(1, np.float32), padding=1, pad_mode="reflect")
-        assert out[0, 0, 0] == x[0, 1, 1]
 
     def test_shape_errors(self, rng):
         x = rng.random((2, 5, 5), dtype=np.float32)
@@ -101,8 +95,8 @@ class TestConv2d:
         x = rng.standard_normal((4, 16, 16)).astype(np.float32)
         k = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        a = ops.conv2d(x, k, b, padding=1)
-        c = ops.conv2d(x, k, b, padding=1)
+        a = ops.conv2d(x, k, b)
+        c = ops.conv2d(x, k, b)
         assert np.array_equal(a, c)
 
 
