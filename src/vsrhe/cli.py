@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vsrhe", description="Compressed-video 4x super-resolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,7 +51,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True, help="input video (.y4m or raw .yuv)")
     p.add_argument("--weights", required=True, help="network weight file")
     p.add_argument("--out", required=True, help="output video path")
-    p.add_argument("--overlap", type=int, default=8, help="tile overlap in LR pixels")
+    p.add_argument("--overlap", type=_non_negative_int, default=8,
+                   help="tile overlap in LR pixels")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: VSRHE_THREADS or 1)")
     p.add_argument("--width", type=int, help="frame width (raw YUV input only)")
@@ -76,7 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", default="bicubic,network")
     p.add_argument("--weights", help="weight file (needed for the network method)")
     p.add_argument("--out", required=True, help="output text table")
-    p.add_argument("--overlap", type=int, default=8)
+    p.add_argument("--overlap", type=_non_negative_int, default=8)
     add_common(p)
 
     p = sub.add_parser("prepare-data", help="extract training patch pairs")
@@ -105,6 +113,16 @@ def _threads(args) -> int:
         return max(1, int(env))
     except ValueError:
         raise _UsageError(f"VSRHE_THREADS must be an integer, got {env!r}") from None
+
+
+def _load_model(path: str, overlap: int) -> pipeline.NetworkModel:
+    """Load a weight file and check that `overlap` fits its tile size."""
+    with open(path, "rb") as f:
+        weights, cfg = weights_io.load_weights(f)
+    if overlap >= cfg.input_size:
+        raise _UsageError(f"--overlap must be less than the model's tile size "
+                          f"{cfg.input_size}, got {overlap}")
+    return pipeline.NetworkModel(weights, cfg)
 
 
 def _read_video(path: str, width=None, height=None) -> frame_io.VideoSequence:
@@ -148,10 +166,8 @@ def _kernel_from_args(args) -> resample.KernelSpec:
 
 def _cmd_upscale(args) -> int:
     threads = _threads(args)
+    model = _load_model(args.weights, args.overlap)
     seq = _read_video(args.input, args.width, args.height)
-    with open(args.weights, "rb") as f:
-        weights, cfg = weights_io.load_weights(f)
-    model = pipeline.NetworkModel(weights, cfg)
     out = pipeline.upscale_sequence(seq, model, overlap=args.overlap,
                                     threads=threads, progress=sys.stderr)
     _write_atomic(args.out, lambda f: _video_writer(args.out)(out, f))
@@ -201,6 +217,14 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    for method in methods:
+        if method not in ("bicubic", "lanczos", "network"):
+            raise _UsageError(f"unknown bench method {method!r}")
+    model = None
+    if "network" in methods:
+        if not args.weights:
+            raise _UsageError("the network method requires --weights")
+        model = _load_model(args.weights, args.overlap)
     ref = _read_video(args.ref)
     if not ref.frames:
         raise ValueError("reference has no frames")
@@ -215,15 +239,8 @@ def _cmd_bench(args) -> int:
             cand = resample.upscale_video(lr, 4, resample.KernelSpec.bicubic())
         elif method == "lanczos":
             cand = resample.upscale_video(lr, 4, resample.KernelSpec.lanczos())
-        elif method == "network":
-            if not args.weights:
-                raise _UsageError("the network method requires --weights")
-            with open(args.weights, "rb") as f:
-                weights, cfg = weights_io.load_weights(f)
-            model = pipeline.NetworkModel(weights, cfg)
-            cand = pipeline.upscale_sequence(lr, model, overlap=args.overlap)
         else:
-            raise _UsageError(f"unknown bench method {method!r}")
+            cand = pipeline.upscale_sequence(lr, model, overlap=args.overlap)
         reports.append(_metric_report(ref, cand, which, None,
                                       sequence_id=args.ref, method=method))
     table = metrics.format_summary_table(reports).encode("utf-8")
@@ -234,7 +251,11 @@ def _cmd_bench(args) -> int:
 def _cmd_prepare_data(args) -> int:
     if args.count < 1:
         raise _UsageError(f"--count must be at least 1, got {args.count}")
-    qp_list = [int(q) for q in args.qp_list.split(",") if q.strip()]
+    try:
+        qp_list = [int(q) for q in args.qp_list.split(",") if q.strip()]
+    except ValueError:
+        raise _UsageError(f"--qp-list must be comma-separated integers, "
+                          f"got {args.qp_list!r}") from None
     lr_dir, hr_dir = Path(args.lr_dir), Path(args.hr_dir)
     lr_files = sorted(p for p in lr_dir.iterdir()
                       if p.suffix in (".y4m", ".yuv"))

@@ -36,6 +36,9 @@ __all__ = [
 REFERENCE_PARAMS = 5.43e6
 REFERENCE_FLOPS = 455.16e9
 
+# Query rows per attention block: 128 x 4096 float32 scores is 2 MB.
+_ATTN_ROWS = 128
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -202,12 +205,24 @@ def hiet_layer_forward(x, weights: dict, prefix: str, window: int,
     def split(a):
         return a.reshape(n_win, tok, heads, hd).transpose(0, 2, 1, 3)
 
-    q, k, v = split(q), split(k), split(v)
-    scores = matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2)))
-    scores *= np.float32(1.0 / math.sqrt(hd))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)                    # (nW, heads, T, hd)
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(n_win * tok, c)
+    q = np.ascontiguousarray(split(q))                          # (nW, heads, T, hd)
+    kt = np.ascontiguousarray(split(k).transpose(0, 1, 3, 2))   # (nW, heads, hd, T)
+    v = np.ascontiguousarray(split(v))
+    scale = np.float32(1.0 / math.sqrt(hd))
+    # Attention per (window, head, block of query rows): a block's scores
+    # stay in cache instead of materializing nW x heads x T x T at once.
+    # Every row sees the same GEMM and reduction order as the unblocked
+    # formula, so the result is bit-identical to it.
+    ctx = np.empty((n_win, tok, c), dtype=np.float32)
+    for wi in range(n_win):
+        for hi in range(heads):
+            kh, vh = kt[wi, hi:hi + 1], v[wi, hi:hi + 1]
+            for r0 in range(0, tok, _ATTN_ROWS):
+                scores = matmul(q[wi, hi:hi + 1, r0:r0 + _ATTN_ROWS], kh)
+                scores *= scale
+                attn = softmax(scores, axis=-1)
+                ctx[wi, r0:r0 + _ATTN_ROWS, hi * hd:(hi + 1) * hd] = matmul(attn, vh)[0]
+    ctx = ctx.reshape(n_win * tok, c)
     flat = flat + _linear(ctx, g("attn.wo.weight"), g("attn.wo.bias"))
 
     hn2 = layer_norm(flat, g("norm2.gamma"), g("norm2.beta"))

@@ -4,13 +4,19 @@ Frames are padded (reflect) and tiled into input_size blocks with a small
 overlap; each block runs through the network independently, and the 4x
 outputs are blended with linear ramps. Blending happens in normalized
 float space with a single quantization at the end. Frames never share
-state, so any processing order gives identical results.
+state, so any processing order gives identical results. Tiles run with
+numpy's bundled OpenBLAS on one thread (worker threads supply the
+parallelism), so the bytes do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +83,42 @@ class NetworkModel:
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
         return forward(block, self.weights, self.cfg)
+
+
+@functools.cache
+def _numpy_openblas():
+    """ctypes handle of the OpenBLAS bundled with numpy, or None if it (or
+    its thread-count symbols) cannot be found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return lib
+    return None
+
+
+@contextmanager
+def _blas_one_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the
+    previous count. Tile workers supply the parallelism, and a GEMM's bytes
+    can depend on how many BLAS threads split it. The count is process-wide,
+    so upscale_frame calls running at once in several threads share it."""
+    lib = _numpy_openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _reflect_index(n: int, length: int) -> np.ndarray:
@@ -150,11 +192,12 @@ def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
     wacc = np.zeros((hr_h, hr_w), dtype=np.float32)
 
     blocks = [x[:, oy:oy + tile, ox:ox + tile] for ox, oy in plan.origins]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(model, blocks))
-    else:
-        outputs = [model(b) for b in blocks]
+    with _blas_one_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outputs = list(pool.map(model, blocks))
+        else:
+            outputs = [model(b) for b in blocks]
 
     # stitch in fixed raster order regardless of compute order
     total = len(plan.origins)

@@ -89,9 +89,12 @@ def softmax(t, axis: int = -1) -> np.ndarray:
     t = _as_f32(t)
     if not -t.ndim <= axis < t.ndim:
         raise ValueError(f"axis {axis} out of range for {t.ndim}-D tensor")
-    shifted = t - np.max(t, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    # One output array, exponentiated and normalized in place: the same
+    # values as exp(shifted) / sum, with a third of the memory traffic.
+    e = t - np.max(t, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def layer_norm(t, gamma, beta, eps: float = 1e-5) -> np.ndarray:

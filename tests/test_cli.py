@@ -1,12 +1,17 @@
+import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_video
+import vsrhe
 from vsrhe import cli, frame_io, network, weights_io
 from vsrhe.frame_io import C420
 
@@ -138,6 +143,44 @@ class TestUpscale:
         assert "VSRHE_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
+        # one full-width block: every GEMM shape of the full model
+        from perfbench.workloads import bench_weights
+        cfg = network.NetworkConfig(channel_dim=126, blocks=1)
+        wpath = tmp_path / "w.vsrhe"
+        with open(wpath, "wb") as f:
+            weights_io.save_weights(bench_weights(cfg, 5, 0.1), cfg, f)
+        clip = tmp_path / "in.y4m"
+        write_y4m(clip, make_video(rng, 64, 64, 1))
+        src = str(Path(vsrhe.__file__).resolve().parents[1])
+        runs = {}
+        for n in ("1", "2"):
+            out = tmp_path / f"out{n}.y4m"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, PYTHONPATH=src)
+            runs[out] = subprocess.Popen(
+                [sys.executable, "-c", "from vsrhe.cli import main; main()",
+                 "upscale", "--in", str(clip), "--weights", str(wpath),
+                 "--out", str(out), "--threads", "1"],
+                env=env, stderr=subprocess.PIPE)
+        digests = set()
+        for out, proc in runs.items():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("overlap", ["64", "-1"])
+    def test_bad_overlap_is_usage_error(self, tmp_path, capsys, overlap):
+        # the clip does not exist: the overlap must be rejected before it is read
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        out = tmp_path / "o.y4m"
+        rc = cli.run(["upscale", "--in", str(tmp_path / "none.y4m"), "--weights",
+                      str(wpath), "--out", str(out), "--overlap", overlap])
+        assert rc == 1
+        assert "--overlap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_weights(self, tmp_path, video_64):
         wpath = tmp_path / "bad.vsrhe"
         wpath.write_bytes(b"NOTAWGT0" + b"\0" * 64)
@@ -228,6 +271,19 @@ class TestBench:
                       "--out", str(tmp_path / "t.txt")])
         assert rc == 1
 
+    @pytest.mark.parametrize("overlap", ["64", "-1"])
+    def test_bad_overlap_is_usage_error(self, tmp_path, capsys, overlap):
+        # the reference does not exist: the overlap must be rejected first
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        out = tmp_path / "t.txt"
+        rc = cli.run(["bench", "--ref", str(tmp_path / "none.y4m"), "--methods",
+                      "bicubic,network", "--weights", str(wpath), "--out", str(out),
+                      "--overlap", overlap])
+        assert rc == 1
+        assert "--overlap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reference_without_frames(self, tmp_path, capsys):
         ref = tmp_path / "ref.y4m"
         ref.write_bytes(b"YUV4MPEG2 W256 H256 F25:1 C420\n")
@@ -271,6 +327,15 @@ class TestPrepareData:
                       str(tmp_path / "hr"), "--count", count, "--out", str(out)])
         assert rc == 1
         assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_qp_list_is_usage_error(self, tmp_path, capsys):
+        # neither directory exists: the list must be rejected before any read
+        out = tmp_path / "m.jsonl"
+        rc = cli.run(["prepare-data", "--lr-dir", str(tmp_path / "lr"), "--hr-dir",
+                      str(tmp_path / "hr"), "--qp-list", "a,b", "--out", str(out)])
+        assert rc == 1
+        assert "--qp-list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_end_to_end(self, rng, tmp_path):

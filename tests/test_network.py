@@ -34,6 +34,39 @@ def attention_oracle(tokens, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     return out @ wo.T.astype(np.float64) + bo
 
 
+def unblocked_layer(x, weights, prefix, window, heads):
+    """hiet_layer_forward with attention over every window and head at
+    once: all T x T scores in one array."""
+    from vsrhe.tensor_ops import (gelu, layer_norm, matmul, softmax,
+                                  window_merge, window_partition)
+    lin = network._linear
+    c, h, w_dim = x.shape
+    hd = c // heads
+    t = window_partition(x, window)
+    n_win, tok, _ = t.shape
+    g = lambda n: weights[prefix + n]
+    flat = t.reshape(n_win * tok, c)
+    hn = layer_norm(flat, g("norm1.gamma"), g("norm1.beta"))
+    q = lin(hn, g("attn.wq.weight"), g("attn.wq.bias"))
+    k = lin(hn, g("attn.wk.weight"), g("attn.wk.bias"))
+    v = lin(hn, g("attn.wv.weight"), g("attn.wv.bias"))
+
+    def split(a):
+        return a.reshape(n_win, tok, heads, hd).transpose(0, 2, 1, 3)
+
+    q, k, v = split(q), split(k), split(v)
+    scores = matmul(q, np.ascontiguousarray(k.transpose(0, 1, 3, 2)))
+    scores *= np.float32(1.0 / np.sqrt(hd))
+    attn = softmax(scores, axis=-1)
+    ctx = matmul(attn, v)
+    ctx = ctx.transpose(0, 2, 1, 3).reshape(n_win * tok, c)
+    flat = flat + lin(ctx, g("attn.wo.weight"), g("attn.wo.bias"))
+    hn2 = layer_norm(flat, g("norm2.gamma"), g("norm2.beta"))
+    m = gelu(lin(hn2, g("mlp.fc1.weight"), g("mlp.fc1.bias")))
+    flat = flat + lin(m, g("mlp.fc2.weight"), g("mlp.fc2.bias"))
+    return window_merge(flat.reshape(n_win, tok, c), window, h, w_dim)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = NetworkConfig()
@@ -70,6 +103,19 @@ class TestLayer:
         with pytest.raises(ValueError, match="window"):
             network.hiet_layer_forward(np.zeros((12, 20, 20), np.float32), w,
                                        "block0.layer0.", 16, SMALL.heads)
+
+    # windows of 64 tokens (under one block), 256 (two whole blocks) and
+    # 144 (one whole block and a partial one)
+    @pytest.mark.parametrize("window,size", [(8, 16), (16, 16), (12, 24)])
+    def test_blocked_attention_equals_unblocked(self, rng, window, size):
+        from perfbench.workloads import bench_weights
+        cfg = NetworkConfig(channel_dim=12, blocks=1, window_sizes=(window,),
+                            heads=3, input_size=size)
+        w = bench_weights(cfg, 5, 0.1)
+        x = rng.random((12, size, size), dtype=np.float32)
+        out = network.hiet_layer_forward(x, w, "block0.layer0.", window, cfg.heads)
+        assert np.array_equal(out, unblocked_layer(x, w, "block0.layer0.", window,
+                                                   cfg.heads))
 
     def test_matches_attention_oracle(self, rng):
         cfg = NetworkConfig(channel_dim=4, blocks=1, window_sizes=(2,), heads=1,

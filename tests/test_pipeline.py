@@ -147,3 +147,47 @@ class TestUpscaleSequence:
         from vsrhe.frame_io import VideoSequence
         out = upscale_sequence(VideoSequence(frames=[]), NearestStub())
         assert len(out) == 0
+
+
+class TestBlasThreads:
+    """upscale_frame runs its tiles with numpy's OpenBLAS on one thread and
+    leaves the count as it found it."""
+
+    @pytest.fixture
+    def blas(self):
+        lib = pipeline._numpy_openblas()
+        if lib is None:
+            pytest.skip("numpy's OpenBLAS thread-count symbols not found")
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        yield lib
+        lib.scipy_openblas_set_num_threads64_(before)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_thread_inside_and_restored_after(self, rng, blas, threads):
+        seen = []
+
+        def model(block):
+            seen.append(blas.scipy_openblas_get_num_threads64_())
+            return NearestStub()(block)
+
+        upscale_frame(make_frame(rng, 120, 64), model, threads=threads)
+        assert seen == [1, 1]
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+
+    def test_restored_when_the_model_raises(self, rng, blas):
+        def model(block):
+            raise RuntimeError("model failed")
+
+        with pytest.raises(RuntimeError, match="model failed"):
+            upscale_frame(make_frame(rng, 64, 64), model, threads=2)
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+
+    def test_runs_without_the_handle(self, rng, monkeypatch):
+        frame = make_frame(rng, 120, 64)
+        expect = upscale_frame(frame, NearestStub())
+        monkeypatch.setattr(pipeline, "_numpy_openblas", lambda: None)
+        got = upscale_frame(frame, NearestStub(), threads=2)
+        assert np.array_equal(got.y, expect.y)
+        assert np.array_equal(got.cb, expect.cb)
+        assert np.array_equal(got.cr, expect.cr)

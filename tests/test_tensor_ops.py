@@ -149,6 +149,21 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="axis"):
             ops.softmax(np.zeros(3, np.float32), axis=2)
 
+    @pytest.mark.parametrize("axis", [-1, 0, 1])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+    def test_equals_three_array_formula(self, rng, axis, scale):
+        # softmax normalizes in place; the bytes must equal the formula that
+        # allocates the shifted, exponentiated and normalized arrays apart,
+        # and the input must not change.
+        x = (rng.standard_normal((3, 37, 301)) * scale).astype(np.float32)
+        before = x.copy()
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        want = e / np.sum(e, axis=axis, keepdims=True)
+        got = ops.softmax(x, axis=axis)
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, before)
+
 
 class TestLayerNorm:
     def test_constant_collapses_to_beta(self):
