@@ -54,7 +54,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--overlap", type=_non_negative_int, default=8,
                    help="tile overlap in LR pixels")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: VSRHE_THREADS or 1)")
+                   help="tile worker threads (default: VSRHE_THREADS, else the "
+                        "number of CPUs this process may run on)")
     p.add_argument("--width", type=int, help="frame width (raw YUV input only)")
     p.add_argument("--height", type=int, help="frame height (raw YUV input only)")
     add_common(p)
@@ -108,7 +109,7 @@ def _threads(args) -> int:
         return max(1, args.threads)
     env = os.environ.get("VSRHE_THREADS")
     if not env:
-        return 1
+        return len(os.sched_getaffinity(0))
     try:
         return max(1, int(env))
     except ValueError:

@@ -5,8 +5,10 @@ overlap; each block runs through the network independently, and the 4x
 outputs are blended with linear ramps. Blending happens in normalized
 float space with a single quantization at the end. Frames never share
 state, so any processing order gives identical results. Tiles run with
-numpy's bundled OpenBLAS on one thread (worker threads supply the
-parallelism), so the bytes do not depend on the BLAS thread count either.
+numpy's bundled OpenBLAS on one thread, because worker threads supply the
+parallelism and BLAS threads on top of them would oversubscribe the
+cores. The bytes do not depend on that setting: every GEMM in the network
+gives the same bytes at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ def _numpy_openblas():
 @contextmanager
 def _blas_one_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the
-    previous count. Tile workers supply the parallelism, and a GEMM's bytes
-    can depend on how many BLAS threads split it. The count is process-wide,
-    so upscale_frame calls running at once in several threads share it."""
+    previous count. Tile workers supply the parallelism, so BLAS threads on
+    top of them would only oversubscribe the cores; output bytes are the
+    same either way. The count is process-wide, so upscale_frame calls
+    running at once in several threads share it."""
     lib = _numpy_openblas()
     if lib is None:
         yield

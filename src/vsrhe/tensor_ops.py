@@ -3,8 +3,11 @@
 Everything here operates on plain numpy float32 arrays and is a pure
 function: same inputs give bit-identical outputs across calls and
 process restarts. Accumulation happens through a fixed evaluation
-order (im2col + one matmul for convolution, numpy matmul elsewhere),
-so repeated runs on the same machine reproduce exactly.
+order: convolution sums one GEMM per kernel tap, in row-major tap order,
+over shifted views of a padded copy of the input (no im2col buffer), and
+numpy matmul serves elsewhere. Each convolution GEMM has K = C_in (126
+in the full-size network), below OpenBLAS's K block, so its bytes do not
+depend on how many BLAS threads split it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,14 @@ def conv2d(x, kernel, bias) -> np.ndarray:
     """2-D convolution (cross-correlation) of x[C_in,H,W] with kernel[C_out,C_in,kH,kW].
 
     Stride 1, with zero padding of kH//2 rows and kW//2 columns on each
-    side, so the output keeps the input's H x W ("same" size). Direct
-    evaluation via im2col; no FFT. kH and kW must be odd.
+    side, so the output keeps the input's H x W ("same" size). kH and kW
+    must be odd; no FFT.
+
+    Shifted GEMM (kn2row): the input is zero-padded once and flattened with
+    the padded row stride Wp, so tap (a, b) reads the contiguous range that
+    starts a*Wp + b further on. The taps' C_out x C_in GEMMs are summed in
+    row-major tap order into a (C_out, H*Wp) array, whose kW-1 extra
+    columns per row are then cropped.
     """
     x = _as_f32(x)
     kernel = _as_f32(kernel)
@@ -53,17 +62,24 @@ def conv2d(x, kernel, bias) -> np.ndarray:
     if bias.shape != (c_out,):
         raise ValueError(f"bias shape {bias.shape} does not match C_out {c_out}")
     _, h, w = x.shape
-    x = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-
-    # im2col, kernel-row-major tap order to match the kernel layout
-    cols = np.empty((c_in, kh, kw, h, w), dtype=np.float32)
+    ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, w + 2 * pw
+    n = h * wp
+    # kW-1 trailing zeros keep the last tap's view inside the array
+    flat = np.zeros((c_in, hp * wp + kw - 1), dtype=np.float32)
+    flat[:, :hp * wp].reshape(c_in, hp, wp)[:, ph:ph + h, pw:pw + w] = x
+    taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1))
+    out = np.empty((c_out, n), dtype=np.float32)
+    tmp = np.empty_like(out) if kh * kw > 1 else None
     for a in range(kh):
         for b in range(kw):
-            cols[:, a, b] = x[:, a:a + h, b:b + w]
-    cols = cols.reshape(c_in * kh * kw, h * w)
-    out = kernel.reshape(c_out, c_in * kh * kw) @ cols
-    out += bias[:, None]
-    return out.reshape(c_out, h, w)
+            view = flat[:, a * wp + b:a * wp + b + n]
+            if a == 0 and b == 0:
+                np.matmul(taps[0, 0], view, out=out)
+            else:
+                np.matmul(taps[a, b], view, out=tmp)
+                out += tmp
+    return out.reshape(c_out, h, wp)[:, :, :w] + bias[:, None, None]
 
 
 def matmul(a, b) -> np.ndarray:
@@ -116,7 +132,7 @@ def layer_norm(t, gamma, beta, eps: float = 1e-5) -> np.ndarray:
 def gelu(t) -> np.ndarray:
     """Exact GELU, x * Phi(x) via erf (not the tanh approximation)."""
     t = _as_f32(t)
-    return (t * np.float32(0.5) * (np.float32(1.0) + erf(t / _SQRT2))).astype(np.float32)
+    return t * np.float32(0.5) * (np.float32(1.0) + erf(t / _SQRT2))
 
 
 def pixel_shuffle(t, r: int) -> np.ndarray:

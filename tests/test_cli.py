@@ -12,7 +12,7 @@ import pytest
 
 from conftest import make_video
 import vsrhe
-from vsrhe import cli, frame_io, network, weights_io
+from vsrhe import cli, frame_io, network, pipeline, weights_io
 from vsrhe.frame_io import C420
 
 
@@ -132,6 +132,23 @@ class TestUpscale:
         assert cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
                         "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_threads_default_to_cpu_affinity(self, tmp_path, video_64, monkeypatch):
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        monkeypatch.delenv("VSRHE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        seen = []
+        upscale_sequence = pipeline.upscale_sequence
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return upscale_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "upscale_sequence", spy)
+        assert cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
+                        "--out", str(tmp_path / "o.y4m")]) == 0
+        assert seen == [3]
 
     def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # neither input exists: the variable must be rejected before any read

@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vsrhe
 from vsrhe import network, weights_io
 from vsrhe.network import NetworkConfig
 
@@ -200,6 +205,49 @@ class TestForward:
         del w["body.conv.bias"]
         with pytest.raises(ValueError, match="body.conv.bias"):
             network.forward(np.zeros((3, 64, 64), np.float32), w, SMALL)
+
+
+# Hashes a full-width conv2d (126 -> 504 on 64x64) and a one-block
+# full-width forward, both called directly rather than through the
+# pipeline, which pins BLAS to one thread.
+_HASH_FORWARD = """
+import hashlib
+import numpy as np
+from perfbench.workloads import FULL, bench_weights
+from vsrhe import network, tensor_ops
+
+def sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+rng = np.random.Generator(np.random.PCG64(3))
+x = rng.standard_normal((126, 64, 64), dtype=np.float32)
+k = rng.standard_normal((504, 126, 3, 3), dtype=np.float32) * np.float32(0.03)
+b = rng.standard_normal(504, dtype=np.float32)
+print(sha(tensor_ops.conv2d(x, k, b)))
+cfg = network.NetworkConfig(**dict(FULL, blocks=1))
+w = bench_weights(cfg, 5, 0.1)
+x = np.random.Generator(np.random.PCG64(7)).random((3, 64, 64), dtype=np.float32)
+print(sha(network.forward(x, w, cfg)))
+"""
+
+
+def test_forward_bytes_do_not_depend_on_blas_threads():
+    # at most 1 + 2 BLAS threads run at once
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(vsrhe.__file__).resolve().parents[1])
+    procs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join([src, str(root)]))
+        procs.append(subprocess.Popen([sys.executable, "-c", _HASH_FORWARD], env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    digests = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+        digests.append(out.decode().split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
 
 
 class TestInit:

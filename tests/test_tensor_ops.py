@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from vsrhe import tensor_ops as ops
 
 
 def conv2d_oracle(x, k, bias, padding=0):
-    """Brute-force six-nested-loop convolution in float64, stride 1."""
+    """Brute-force six-nested-loop convolution in float64, stride 1.
+
+    `padding` is one zero-padding width for both axes, or (rows, cols)."""
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     c_out, c_in, kh, kw = k.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    x = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
     _, h, w = x.shape
     oh = h - kh + 1
     ow = w - kw + 1
@@ -80,6 +83,19 @@ class TestConv2d:
         out = ops.conv2d(x, k, b)
         assert out.shape == (2, 9, 8)
         ref = conv2d_oracle(x, k, b, padding=ksize // 2)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("kh,kw", [(3, 5), (1, 3)])
+    def test_non_square_kernel_vs_oracle(self, rng, kh, kw):
+        # a kernel wider than tall pads rows and columns differently, which
+        # a square kernel cannot tell apart from a wrong row stride
+        x = rng.standard_normal((3, 7, 11)).astype(np.float32)
+        k = rng.standard_normal((2, 3, kh, kw)).astype(np.float32)
+        b = rng.standard_normal(2).astype(np.float32)
+        out = ops.conv2d(x, k, b)
+        assert out.shape == (2, 7, 11)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        ref = conv2d_oracle(x, k, b, padding=(kh // 2, kw // 2))
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
     def test_shape_errors(self, rng):
@@ -207,6 +223,15 @@ class TestGelu:
         expected = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         out = float(ops.gelu(np.float32([1.0]))[0])
         assert abs(out - expected) < 1e-5
+
+    def test_equals_formula_with_cast(self, rng):
+        # the result is float32 without a final cast, so no copy is made
+        t = (rng.standard_normal((64, 252)) * 3).astype(np.float32)
+        want = (t * np.float32(0.5) * (np.float32(1.0) + erf(t / np.float32(np.sqrt(2.0))))
+                ).astype(np.float32)
+        got = ops.gelu(t)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 class TestPixelShuffle:
