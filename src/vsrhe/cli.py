@@ -2,7 +2,8 @@
 bench, inspect-weights.
 
 Exit codes: 0 success, 1 usage error (nothing written), 2 processing
-error. Output files are written to a temp path and renamed on success, so
+error. Output files are written to a temp path and renamed on success, and
+prepare-data removes the manifest and sidecar it wrote when it fails, so
 failures never leave partial outputs behind.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
@@ -18,7 +18,6 @@ import tempfile
 from pathlib import Path
 
 from . import dataprep, frame_io, metrics, network, pipeline, resample, weights_io
-from .frame_io import C420
 
 __all__ = ["main", "run"]
 
@@ -43,10 +42,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="vsrhe", description="Compressed-video 4x super-resolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the parsed configuration as JSON and exit")
-
     p = sub.add_parser("upscale", help="super-resolve a C420 video 4x with the network")
     p.add_argument("--in", dest="input", required=True, help="input video (.y4m or raw .yuv)")
     p.add_argument("--weights", required=True, help="network weight file")
@@ -54,11 +49,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--overlap", type=_non_negative_int, default=8,
                    help="tile overlap in LR pixels")
     p.add_argument("--threads", type=int, default=None,
-                   help="tile worker threads (default: VSRHE_THREADS, else the "
-                        "number of CPUs this process may run on)")
+                   help="tile worker threads (default: the number of CPUs this "
+                        "process may run on)")
     p.add_argument("--width", type=int, help="frame width (raw YUV input only)")
     p.add_argument("--height", type=int, help="frame height (raw YUV input only)")
-    add_common(p)
 
     p = sub.add_parser("downscale", help="downscale a video by an integer factor")
     p.add_argument("--in", dest="input", required=True)
@@ -69,7 +63,6 @@ def _build_parser() -> _Parser:
                    help="bicubic a (default -0.5) or Lanczos lobes (default 3)")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
-    add_common(p)
 
     p = sub.add_parser("metrics", help="full-reference quality metrics")
     p.add_argument("--ref", required=True)
@@ -78,7 +71,6 @@ def _build_parser() -> _Parser:
                    help="comma list from psnr,ssim,msssim")
     p.add_argument("--vmaf-csv", help="ingest per-frame VMAF scores (frame,vmaf CSV)")
     p.add_argument("--out", required=True, help="report CSV path")
-    add_common(p)
 
     p = sub.add_parser("bench", help="Table-style method comparison on one reference")
     p.add_argument("--ref", required=True, help="ground-truth HR video")
@@ -86,7 +78,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", help="weight file (needed for the network method)")
     p.add_argument("--out", required=True, help="output text table")
     p.add_argument("--overlap", type=_non_negative_int, default=8)
-    add_common(p)
 
     p = sub.add_parser("prepare-data", help="extract training patch pairs")
     p.add_argument("--lr-dir", required=True)
@@ -95,25 +86,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="manifest path (.jsonl)")
-    add_common(p)
 
     p = sub.add_parser("inspect-weights", help="print weight file config and complexity")
     p.add_argument("path")
-    add_common(p)
 
     return parser
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("VSRHE_THREADS")
-    if not env:
-        return len(os.sched_getaffinity(0))
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise _UsageError(f"VSRHE_THREADS must be an integer, got {env!r}") from None
 
 
 def _load_model(path: str, overlap: int) -> pipeline.NetworkModel:
@@ -133,7 +110,7 @@ def _read_video(path: str, width=None, height=None) -> frame_io.VideoSequence:
     if width is None or height is None:
         raise _UsageError(f"raw YUV input {path!r} requires --width and --height")
     with open(path, "rb") as f:
-        return frame_io.read_raw_yuv(f, width, height, C420)
+        return frame_io.read_raw_yuv(f, width, height)
 
 
 def _write_atomic(path: str, write) -> None:
@@ -166,7 +143,8 @@ def _kernel_from_args(args) -> resample.KernelSpec:
 
 
 def _cmd_upscale(args) -> int:
-    threads = _threads(args)
+    threads = (len(os.sched_getaffinity(0)) if args.threads is None
+               else max(1, args.threads))
     model = _load_model(args.weights, args.overlap)
     seq = _read_video(args.input, args.width, args.height)
     out = pipeline.upscale_sequence(seq, model, overlap=args.overlap,
@@ -329,10 +307,6 @@ def run(argv) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if getattr(args, "dump_config", False):
-        cfg = {k: v for k, v in vars(args).items() if k != "dump_config"}
-        print(json.dumps(cfg, default=str, indent=2))
-        return 0
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as e:

@@ -172,27 +172,13 @@ class Manifest:
 
 
 def write_manifest(pairs: list, manifest_path) -> Manifest:
-    """Write JSONL manifest + packed binary sidecar; returns the manifest."""
+    """Write JSONL manifest + packed binary sidecar; returns the manifest.
+
+    On any failure the files this call opened are removed again, so no
+    partial manifest or sidecar is left behind.
+    """
     manifest_path = Path(manifest_path)
     pak_path = manifest_path.with_suffix(".pak")
-    records = []
-    with open(pak_path, "wb") as pak:
-        for i, p in enumerate(pairs):
-            offset = pak.tell()
-            for plane in (p.lr_patch.y, p.lr_patch.cb, p.lr_patch.cr,
-                          p.hr_patch.y, p.hr_patch.cb, p.hr_patch.cr):
-                pak.write(plane.tobytes())
-            records.append({
-                "index": i,
-                "source_id": p.source_id,
-                "frame_index": p.frame_index,
-                "origin": list(p.origin),
-                "qp": p.qp,
-                "rotation": p.rotation,
-                "hflip": p.hflip,
-                "vflip": p.vflip,
-                "offset": offset,
-            })
     header = {
         "kind": "vsrhe-manifest",
         "version": 1,
@@ -201,10 +187,36 @@ def write_manifest(pairs: list, manifest_path) -> Manifest:
         "lr_patch": LR_PATCH,
         "hr_patch": HR_PATCH,
     }
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header) + "\n")
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+    records = []
+    opened = []
+    try:
+        with open(pak_path, "wb") as pak:
+            opened.append(pak_path)
+            for i, p in enumerate(pairs):
+                offset = pak.tell()
+                for plane in (p.lr_patch.y, p.lr_patch.cb, p.lr_patch.cr,
+                              p.hr_patch.y, p.hr_patch.cb, p.hr_patch.cr):
+                    pak.write(plane.tobytes())
+                records.append({
+                    "index": i,
+                    "source_id": p.source_id,
+                    "frame_index": p.frame_index,
+                    "origin": list(p.origin),
+                    "qp": p.qp,
+                    "rotation": p.rotation,
+                    "hflip": p.hflip,
+                    "vflip": p.vflip,
+                    "offset": offset,
+                })
+        with open(manifest_path, "w", encoding="utf-8") as f:
+            opened.append(manifest_path)
+            f.write(json.dumps(header) + "\n")
+            for rec in records:
+                f.write(json.dumps(rec) + "\n")
+    except BaseException:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
     return Manifest(header=header, records=records, pak_path=pak_path)
 
 

@@ -1,7 +1,9 @@
 """Raw YCbCr video I/O (Y4M and headerless planar) plus chroma format conversion.
 
-Only 8-bit content is handled; other depths are rejected explicitly.
-Sample quantization everywhere uses round-half-away-from-zero.
+Frames are 8-bit C420 or C444. Y4M streams may be either (other
+colorspaces, high-bit-depth tags included, are rejected); headerless
+planar YUV is C420 only. Sample quantization everywhere uses
+round-half-away-from-zero.
 """
 
 from __future__ import annotations
@@ -46,11 +48,8 @@ class Frame:
     cb: np.ndarray
     cr: np.ndarray
     subsampling: str = C420
-    bit_depth: int = 8
 
     def __post_init__(self):
-        if self.bit_depth != 8:
-            raise ValueError(f"only 8-bit frames supported, got bit depth {self.bit_depth}")
         if self.subsampling not in (C420, C444):
             raise ValueError(f"unsupported subsampling {self.subsampling!r}")
         for name, plane in (("Y", self.y), ("Cb", self.cb), ("Cr", self.cr)):
@@ -91,8 +90,7 @@ class VideoSequence:
         if self.frames:
             f0 = self.frames[0]
             for i, f in enumerate(self.frames):
-                if (f.width, f.height, f.subsampling, f.bit_depth) != (
-                        f0.width, f0.height, f0.subsampling, f0.bit_depth):
+                if (f.width, f.height, f.subsampling) != (f0.width, f0.height, f0.subsampling):
                     raise ValueError(f"frame {i} geometry differs from frame 0")
 
     def __len__(self):
@@ -145,8 +143,10 @@ def parse_y4m(stream: BinaryIO) -> VideoSequence:
         elif key == "H":
             height = int(val)
         elif key == "F":
-            num, den = val.split(":")
-            rate = Fraction(int(num), int(den))
+            num, den = (int(v) for v in val.split(":"))
+            if num < 0 or den < 1:
+                raise ValueError(f"invalid Y4M frame rate F{val}")
+            rate = Fraction(num, den)
             metadata["F"] = val
         elif key == "C":
             if val in _C420_TAGS:
@@ -212,18 +212,19 @@ def write_y4m(seq: VideoSequence, sink: BinaryIO) -> None:
         sink.write(f.cr.tobytes())
 
 
-def read_raw_yuv(stream: BinaryIO, width: int, height: int,
-                 subsampling: str = C420) -> VideoSequence:
-    """Read headerless planar YUV (Y then Cb then Cr per frame)."""
-    if subsampling == C420 and (width % 2 or height % 2):
+def read_raw_yuv(stream: BinaryIO, width: int, height: int) -> VideoSequence:
+    """Read headerless planar C420 YUV (Y then Cb then Cr per frame)."""
+    if width < 1 or height < 1:
+        raise ValueError(f"degenerate raw YUV geometry {width}x{height}")
+    if width % 2 or height % 2:
         raise ValueError(f"C420 requires even dimensions, got {width}x{height}")
-    fsize = _frame_bytes(width, height, subsampling)
+    fsize = _frame_bytes(width, height, C420)
     data = stream.read()
     if len(data) % fsize != 0:
         raise ValueError(
             f"stream length {len(data)} is not a multiple of frame size {fsize} "
             f"({len(data) % fsize} trailing bytes)")
-    frames = [_split_frame(data[i * fsize:(i + 1) * fsize], width, height, subsampling)
+    frames = [_split_frame(data[i * fsize:(i + 1) * fsize], width, height, C420)
               for i in range(len(data) // fsize)]
     return VideoSequence(frames=frames)
 

@@ -9,9 +9,8 @@ with SSIM/MS-SSIM channel-averaged at dynamic range 1. The adversarial
 term is an externally supplied scalar folded in by `total_loss`.
 
 `perceptual_loss_grad` is the exact derivative of this formula, including
-the Gaussian-window chain rule for both structural terms; `fd_gradient`
-is the finite-difference oracle used to verify it. The SSIM and MS-SSIM
-values and gradients come from `metrics.ssim_term` and
+the Gaussian-window chain rule for both structural terms. The SSIM and
+MS-SSIM values and gradients come from `metrics.ssim_term` and
 `metrics.ms_ssim_pyramid`, the same kernel that `metrics.ssim` and
 `metrics.ms_ssim` use, which also holds the window-filter and pooling
 adjoints.
@@ -31,8 +30,9 @@ __all__ = [
     "perceptual_loss",
     "perceptual_loss_grad",
     "total_loss",
-    "fd_gradient",
 ]
+
+_SSIM = SsimParams(dynamic_range=1.0)
 
 
 @dataclass(frozen=True)
@@ -58,36 +58,33 @@ class LossBreakdown:
     msssim_loss: float
 
 
-def _check_pair(pred, target, p: SsimParams):
+def _check_pair(pred, target):
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"geometry mismatch: {pred.shape} vs {target.shape}")
     if pred.ndim != 3:
         raise ValueError(f"expected [C,H,W] tensors, got shape {pred.shape}")
-    min_dim = p.window_size * 2 ** (len(MS_SSIM_WEIGHTS) - 1)
+    min_dim = _SSIM.window_size * 2 ** (len(MS_SSIM_WEIGHTS) - 1)
     if min(pred.shape[1:]) < min_dim:
         raise ValueError(
             f"spatial dims {pred.shape[1:]} below the MS-SSIM minimum {min_dim}")
     return pred, target
 
 
-def perceptual_loss(pred, target, w: LossWeights | None = None,
-                    p: SsimParams | None = None) -> LossBreakdown:
+def perceptual_loss(pred, target, w: LossWeights | None = None) -> LossBreakdown:
     """Weighted perceptual loss on a [3,H,W] normalized pair."""
     if w is None:
         w = LossWeights()
-    if p is None:
-        p = SsimParams(dynamic_range=1.0)
-    pred, target = _check_pair(pred, target, p)
+    pred, target = _check_pair(pred, target)
     d = pred - target
     l1 = float(np.mean(np.abs(d)))
     l2 = float(np.mean(d * d))
     ssim_vals = []
     ms_vals = []
     for c in range(pred.shape[0]):
-        s, _ = ssim_term(pred[c], target[c], p, True, False)
-        m, _ = ms_ssim_pyramid(pred[c], target[c], p, MS_SSIM_WEIGHTS, False)
+        s, _ = ssim_term(pred[c], target[c], _SSIM, True, False)
+        m, _ = ms_ssim_pyramid(pred[c], target[c], _SSIM, False)
         ssim_vals.append(s)
         ms_vals.append(m)
     ssim_loss = 1.0 - sum(ssim_vals) / len(ssim_vals)
@@ -98,27 +95,24 @@ def perceptual_loss(pred, target, w: LossWeights | None = None,
                          l2=l2, msssim_loss=msssim_loss)
 
 
-def perceptual_loss_grad(pred, target, w: LossWeights | None = None,
-                         p: SsimParams | None = None) -> np.ndarray:
+def perceptual_loss_grad(pred, target, w: LossWeights | None = None) -> np.ndarray:
     """Analytic d(perceptual_loss)/d(pred), shape [3,H,W], float64.
 
     The L1 subgradient at zero difference is taken as 0.
     """
     if w is None:
         w = LossWeights()
-    if p is None:
-        p = SsimParams(dynamic_range=1.0)
-    pred, target = _check_pair(pred, target, p)
+    pred, target = _check_pair(pred, target)
     nch = pred.shape[0]
     n = pred.size
     d = pred - target
     grad = (w.w_l1 / n) * np.sign(d) + (2.0 * w.w_l2 / n) * d
     for c in range(nch):
         if w.w_ssim != 0.0:
-            _, gs = ssim_term(pred[c], target[c], p, True, True)
+            _, gs = ssim_term(pred[c], target[c], _SSIM, True, True)
             grad[c] -= w.w_ssim * gs / nch
         if w.w_msssim != 0.0:
-            _, gm = ms_ssim_pyramid(pred[c], target[c], p, MS_SSIM_WEIGHTS, True)
+            _, gm = ms_ssim_pyramid(pred[c], target[c], _SSIM, True)
             grad[c] -= w.w_msssim * gm / nch
     return grad
 
@@ -131,22 +125,3 @@ def total_loss(l_p: float, l_gan: float, w: LossWeights | None = None) -> float:
     if not (np.isfinite(l_p) and np.isfinite(l_gan)):
         raise ValueError("loss terms must be finite")
     return l_p + w.w_gan * l_gan
-
-
-def fd_gradient(f, x, h: float, coordinates) -> np.ndarray:
-    """Central finite differences of scalar f at the given coordinates.
-
-    coordinates: iterable of index tuples into x. Returns one derivative
-    per coordinate, evaluated in float64.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    out = []
-    for coord in coordinates:
-        xp = x.copy()
-        xp[coord] += h
-        xm = x.copy()
-        xm[coord] -= h
-        out.append((f(xp) - f(xm)) / (2.0 * h))
-    return np.asarray(out, dtype=np.float64)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -47,17 +47,13 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SsimParams:
-    window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 255.0
+    """The standard SSIM constants at a given dynamic range."""
 
-    def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("K1 and K2 must be positive")
-        if self.window_size < 1 or self.window_size % 2 == 0:
-            raise ValueError(f"window size must be odd and positive, got {self.window_size}")
+    window_size: ClassVar[int] = 11
+    sigma: ClassVar[float] = 1.5
+    k1: ClassVar[float] = 0.01
+    k2: ClassVar[float] = 0.03
+    dynamic_range: float = 255.0
 
     @property
     def c1(self) -> float:
@@ -146,7 +142,7 @@ def ssim_term(x: np.ndarray, y: np.ndarray, p: SsimParams, luminance: bool,
     return mean, grad
 
 
-def psnr_y(ref, dist, dynamic_range: float = 255.0) -> float:
+def psnr_y(ref, dist) -> float:
     """PSNR in dB on the luma plane (code values); +inf when identical."""
     a = _luma(ref)
     b = _luma(dist)
@@ -154,7 +150,7 @@ def psnr_y(ref, dist, dynamic_range: float = 255.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(dynamic_range ** 2 / mse)
+    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 def ssim(ref, dist, p: SsimParams | None = None) -> float:
@@ -177,11 +173,10 @@ def mean_pool2(img: np.ndarray) -> np.ndarray:
     return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams,
-                    weights: Sequence[float], want_grad: bool):
-    """MS-SSIM of one plane pair over len(weights) scales, and optionally
-    its gradient w.r.t. x."""
-    scales = len(weights)
+def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams, want_grad: bool):
+    """MS-SSIM of one plane pair over the scales of MS_SSIM_WEIGHTS, and
+    optionally its gradient w.r.t. x."""
+    scales = len(MS_SSIM_WEIGHTS)
     shapes, vals, grads = [], [], []
     for j in range(scales):
         if j:
@@ -195,13 +190,13 @@ def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams,
         vals.append(v)
         grads.append(g)
     ms = 1.0
-    for v, w in zip(vals, weights):
+    for v, w in zip(vals, MS_SSIM_WEIGHTS):
         ms *= v ** w
     if not want_grad:
         return ms, None
     total_grad = np.zeros(shapes[0], dtype=np.float64)
     for j in range(scales):
-        g = grads[j] * (ms * weights[j] / vals[j])
+        g = grads[j] * (ms * MS_SSIM_WEIGHTS[j] / vals[j])
         for k in range(j - 1, -1, -1):
             # adjoint of 2x2 mean pooling; zeros on a cropped odd row/column
             up = np.zeros(shapes[k], dtype=np.float64)
@@ -212,23 +207,21 @@ def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams,
     return ms, total_grad
 
 
-def ms_ssim(ref, dist, p: SsimParams | None = None, scales: int = 5,
-            weights: Sequence[float] = MS_SSIM_WEIGHTS) -> float:
+def ms_ssim(ref, dist, p: SsimParams | None = None) -> float:
     """Multi-scale SSIM: mean contrast-structure at the finer scales, full
     SSIM at the coarsest, combined as a weighted geometric product."""
     if p is None:
         p = SsimParams()
-    if len(weights) != scales:
-        raise ValueError(f"need {scales} scale weights, got {len(weights)}")
     a = _luma(ref)
     b = _luma(dist)
     _check_geometry(a, b)
+    scales = len(MS_SSIM_WEIGHTS)
     min_dim = p.window_size * 2 ** (scales - 1)
     if min(a.shape) < min_dim:
         raise ValueError(
             f"input {a.shape} too small for {scales}-scale MS-SSIM; "
             f"minimum dimension is {min_dim}")
-    return ms_ssim_pyramid(a, b, p, weights, False)[0]
+    return ms_ssim_pyramid(a, b, p, False)[0]
 
 
 @dataclass

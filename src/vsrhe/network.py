@@ -10,7 +10,7 @@ functions of (input, weights, config) and bit-exact across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,17 +84,7 @@ class NetworkConfig:
         return int(round(math.log2(self.scale)))
 
     def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "channel_dim": self.channel_dim,
-            "blocks": self.blocks,
-            "window_sizes": list(self.window_sizes),
-            "heads": self.heads,
-            "mlp_ratio": self.mlp_ratio,
-            "input_size": self.input_size,
-            "scale": self.scale,
-        }
+        return {**asdict(self), "window_sizes": list(self.window_sizes)}
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkConfig":
@@ -249,15 +239,6 @@ def forward(x, weights: dict, cfg: NetworkConfig) -> np.ndarray:
     s must be divisible by every window size (the inference pipeline tiles
     frames into input_size blocks before calling this).
     """
-    x = np.ascontiguousarray(x, dtype=np.float32)
-    if x.ndim != 3 or x.shape[0] != cfg.in_channels:
-        raise ValueError(
-            f"input must be [{cfg.in_channels},H,W], got shape {x.shape}")
-    _, h, w = x.shape
-    for win in cfg.window_sizes:
-        if h % win or w % win:
-            raise ValueError(
-                f"spatial dims {h}x{w} not divisible by window size {win}")
     validate_weights(weights, cfg)
 
     head = conv2d(x, weights["head.conv.weight"], weights["head.conv.bias"])

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame_io import (C420, C444, Frame, VideoSequence, chroma_downsample_mean,
+from .frame_io import (C444, Frame, VideoSequence, chroma_downsample_mean,
                        chroma_upsample_nn, from_normalized, to_normalized)
 from .network import NetworkConfig, forward
 
@@ -180,8 +180,6 @@ def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
     tile*scale]; `NetworkModel` provides this for real weights, and any
     crop-commuting stub works for pipeline verification.
     """
-    if frame.subsampling != C420:
-        raise ValueError(f"upscale_frame expects C420 input, got {frame.subsampling}")
     scale = getattr(model, "scale", 4)
     tile = getattr(model, "tile", 64)
     f444 = chroma_upsample_nn(frame)
@@ -195,12 +193,8 @@ def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
     wacc = np.zeros((hr_h, hr_w), dtype=np.float32)
 
     blocks = [x[:, oy:oy + tile, ox:ox + tile] for ox, oy in plan.origins]
-    with _blas_one_thread():
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outputs = list(pool.map(model, blocks))
-        else:
-            outputs = [model(b) for b in blocks]
+    with _blas_one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+        outputs = list(pool.map(model, blocks))
 
     # stitch in fixed raster order regardless of compute order
     total = len(plan.origins)

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.float32(np.sqrt(2.0))
+_LN_EPS = np.float32(1e-5)
 
 
 def _as_f32(x) -> np.ndarray:
@@ -113,20 +114,18 @@ def softmax(t, axis: int = -1) -> np.ndarray:
     return e
 
 
-def layer_norm(t, gamma, beta, eps: float = 1e-5) -> np.ndarray:
-    """Layer normalization over the trailing channel axis, then affine."""
+def layer_norm(t, gamma, beta) -> np.ndarray:
+    """Layer normalization over the trailing channel axis (eps 1e-5), then affine."""
     t = _as_f32(t)
     gamma = _as_f32(gamma)
     beta = _as_f32(beta)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     c = t.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(
             f"gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}")
     mean = np.mean(t, axis=-1, keepdims=True)
     var = np.mean((t - mean) ** 2, axis=-1, keepdims=True)
-    return (t - mean) / np.sqrt(var + np.float32(eps)) * gamma + beta
+    return (t - mean) / np.sqrt(var + _LN_EPS) * gamma + beta
 
 
 def gelu(t) -> np.ndarray:

@@ -28,6 +28,25 @@ def make_video(rng, width, height, frames, subsampling=C420):
         frames=[make_frame(rng, width, height, subsampling) for _ in range(frames)])
 
 
+def fd_gradient(f, x, h: float, coordinates) -> np.ndarray:
+    """Central finite differences of scalar f at the given coordinates.
+
+    coordinates: iterable of index tuples into x. Returns one derivative
+    per coordinate, evaluated in float64.
+    """
+    if h <= 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    x = np.asarray(x, dtype=np.float64)
+    out = []
+    for coord in coordinates:
+        xp = x.copy()
+        xp[coord] += h
+        xm = x.copy()
+        xm[coord] -= h
+        out.append((f(xp) - f(xm)) / (2.0 * h))
+    return np.asarray(out, dtype=np.float64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_video
+from conftest import fd_gradient, make_video
 from vsrhe import cli, dataprep, frame_io, losses, metrics, network, pipeline, resample, weights_io
 from vsrhe.frame_io import C420
 from vsrhe.metrics import SsimParams
@@ -64,7 +64,7 @@ def test_criterion_02_gradient_check(capfd):
              int(coord_rng.integers(176)))
         if abs(pred[c] - target[c]) > 5e-3:  # keep clear of the L1 kink
             coords.append(c)
-    fd = losses.fd_gradient(f, pred, 1e-3, coords)
+    fd = fd_gradient(f, pred, 1e-3, coords)
     an = np.array([grad[c] for c in coords])
     rel = float((np.abs(fd - an) / np.maximum(np.abs(fd), 1e-8)).max())
     elapsed = time.time() - t0

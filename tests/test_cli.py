@@ -13,7 +13,6 @@ import pytest
 from conftest import make_video
 import vsrhe
 from vsrhe import cli, frame_io, network, pipeline, weights_io
-from vsrhe.frame_io import C420
 
 
 FAST_CFG = network.NetworkConfig(channel_dim=8, blocks=1, window_sizes=(8,),
@@ -53,14 +52,6 @@ class TestUsage:
     def test_missing_required(self):
         assert cli.run(["upscale", "--out", "x.y4m"]) == 1
 
-    def test_dump_config(self, capsys):
-        rc = cli.run(["downscale", "--in", "a.y4m", "--out", "b.y4m",
-                      "--factor", "2", "--dump-config"])
-        assert rc == 0
-        cfg = json.loads(capsys.readouterr().out)
-        assert cfg["factor"] == 2
-        assert cfg["input"] == "a.y4m"
-
 
 class TestDownscale:
     def test_basic(self, rng, tmp_path):
@@ -97,8 +88,30 @@ class TestDownscale:
                       "--width", "16", "--height", "8", "--factor", "2"])
         assert rc == 0
         with open(out, "rb") as f:
-            back = frame_io.read_raw_yuv(f, 8, 4, C420)
+            back = frame_io.read_raw_yuv(f, 8, 4)
         assert len(back) == 1
+
+    @pytest.mark.parametrize("width,height", [(0, 4), (4, 0), (-2, 4)])
+    def test_raw_yuv_degenerate_dims(self, tmp_path, capsys, width, height):
+        src = tmp_path / "src.yuv"
+        src.write_bytes(b"\0" * 600)
+        out = tmp_path / "out.yuv"
+        rc = cli.run(["downscale", "--in", str(src), "--out", str(out),
+                      "--width", str(width), "--height", str(height)])
+        assert rc == 2
+        assert "degenerate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["30:0", "-30:1"])
+    def test_bad_y4m_frame_rate(self, tmp_path, capsys, rate):
+        src = tmp_path / "src.y4m"
+        src.write_bytes(f"YUV4MPEG2 W2 H2 F{rate} C420\nFRAME\n".encode() + b"\0" * 6)
+        out = tmp_path / "out.y4m"
+        rc = cli.run(["downscale", "--in", str(src), "--out", str(out),
+                      "--factor", "2"])
+        assert rc == 2
+        assert f"F{rate}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_no_partial_output(self, tmp_path):
         out = tmp_path / "out.y4m"
@@ -121,22 +134,9 @@ class TestUpscale:
         f = seq.frames[0]
         assert (f.width, f.height, len(seq)) == (256, 256, 2)
 
-    def test_threads_env(self, rng, tmp_path, video_64, monkeypatch):
-        wpath = tmp_path / "w.vsrhe"
-        write_weights(wpath)
-        out1 = tmp_path / "a.y4m"
-        out2 = tmp_path / "b.y4m"
-        assert cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
-                        "--out", str(out1), "--threads", "1"]) == 0
-        monkeypatch.setenv("VSRHE_THREADS", "4")
-        assert cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
-                        "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_threads_default_to_cpu_affinity(self, tmp_path, video_64, monkeypatch):
         wpath = tmp_path / "w.vsrhe"
         write_weights(wpath)
-        monkeypatch.delenv("VSRHE_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         seen = []
         upscale_sequence = pipeline.upscale_sequence
@@ -149,16 +149,6 @@ class TestUpscale:
         assert cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
                         "--out", str(tmp_path / "o.y4m")]) == 0
         assert seen == [3]
-
-    def test_bad_threads_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        # neither input exists: the variable must be rejected before any read
-        monkeypatch.setenv("VSRHE_THREADS", "abc")
-        out = tmp_path / "o.y4m"
-        rc = cli.run(["upscale", "--in", str(tmp_path / "none.y4m"),
-                      "--weights", str(tmp_path / "none.vsrhe"), "--out", str(out)])
-        assert rc == 1
-        assert "VSRHE_THREADS" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
         # one full-width block: every GEMM shape of the full model
@@ -372,6 +362,18 @@ class TestPrepareData:
         assert len(m) == 8
         qps = {r["qp"] for r in m.records}
         assert qps == {27, 37}
+
+    def test_failed_manifest_write_leaves_no_files(self, rng, tmp_path):
+        # --out names an existing directory: the sidecar is written first,
+        # then opening the manifest fails, and the sidecar must go again
+        lr_dir, hr_dir = three_sources(rng, tmp_path)
+        out = tmp_path / "train.jsonl"
+        out.mkdir()
+        rc = cli.run(["prepare-data", "--lr-dir", str(lr_dir), "--hr-dir",
+                      str(hr_dir), "--count", "3", "--out", str(out)])
+        assert rc == 2
+        assert not (tmp_path / "train.pak").exists()
+        assert out.is_dir() and not list(out.iterdir())
 
     def test_missing_counterpart(self, rng, tmp_path):
         lr_dir = tmp_path / "lr"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fd_gradient
 from vsrhe import losses, metrics
-from vsrhe.losses import LossWeights, fd_gradient, perceptual_loss, perceptual_loss_grad, total_loss
+from vsrhe.losses import LossWeights, perceptual_loss, perceptual_loss_grad, total_loss
 from vsrhe.metrics import SsimParams
 
 
@@ -59,7 +60,7 @@ class TestPerceptualLoss:
         # losses and metrics share one SSIM kernel, so the values agree exactly
         pred, target = grad_check_pair(8)
         p = SsimParams(dynamic_range=1.0)
-        b = perceptual_loss(pred, target, p=p)
+        b = perceptual_loss(pred, target)
         ssim_vals = [metrics.ssim(pred[c], target[c], p) for c in range(3)]
         ms_vals = [metrics.ms_ssim(pred[c], target[c], p) for c in range(3)]
         assert b.ssim_loss == 1.0 - sum(ssim_vals) / len(ssim_vals)

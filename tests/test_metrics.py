@@ -114,12 +114,6 @@ class TestSsim:
         with pytest.raises(ValueError, match="window"):
             metrics.ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            SsimParams(k1=0.0)
-        with pytest.raises(ValueError):
-            SsimParams(window_size=10)
-
 
 class TestMsSsim:
     def test_identical_is_one(self, rng):
