@@ -113,6 +113,13 @@ def _read_video(path: str, width=None, height=None) -> frame_io.VideoSequence:
         return frame_io.read_raw_yuv(f, width, height)
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any input is read when `path`'s directory does not exist."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out directory {directory} does not exist")
+
+
 def _write_atomic(path: str, write) -> None:
     """Call write(f) on a binary temp file beside `path`, then rename it
     over `path`; on any failure the temp file is removed."""
@@ -145,6 +152,7 @@ def _kernel_from_args(args) -> resample.KernelSpec:
 def _cmd_upscale(args) -> int:
     threads = (len(os.sched_getaffinity(0)) if args.threads is None
                else max(1, args.threads))
+    _check_out_dir(args.out)
     model = _load_model(args.weights, args.overlap)
     seq = _read_video(args.input, args.width, args.height)
     out = pipeline.upscale_sequence(seq, model, overlap=args.overlap,
@@ -154,6 +162,7 @@ def _cmd_upscale(args) -> int:
 
 
 def _cmd_downscale(args) -> int:
+    _check_out_dir(args.out)
     seq = _read_video(args.input, args.width, args.height)
     out = resample.downscale_video(seq, args.factor, _kernel_from_args(args))
     _write_atomic(args.out, lambda f: _video_writer(args.out)(out, f))
@@ -167,8 +176,13 @@ def _metric_report(ref_seq, dist_seq, which, vmaf_path, sequence_id, method):
     psnr_col, ssim_col, ms_col = [], [], []
     for r, d in zip(ref_seq.frames, dist_seq.frames):
         psnr_col.append(metrics.psnr_y(r, d) if "psnr" in which else float("nan"))
-        ssim_col.append(metrics.ssim(r, d) if "ssim" in which else float("nan"))
-        ms_col.append(metrics.ms_ssim(r, d) if "msssim" in which else float("nan"))
+        if "ssim" in which and "msssim" in which:
+            s, m = metrics.ssim_and_ms_ssim(r, d)    # one scale-0 pass for both
+        else:
+            s = metrics.ssim(r, d) if "ssim" in which else float("nan")
+            m = metrics.ms_ssim(r, d) if "msssim" in which else float("nan")
+        ssim_col.append(s)
+        ms_col.append(m)
     vmaf_col = None
     if vmaf_path:
         with open(vmaf_path) as f:
@@ -184,6 +198,7 @@ def _cmd_metrics(args) -> int:
     unknown = which - {"psnr", "ssim", "msssim"}
     if unknown:
         raise _UsageError(f"unknown metrics: {', '.join(sorted(unknown))}")
+    _check_out_dir(args.out)
     ref_seq = _read_video(args.ref)
     dist_seq = _read_video(args.dist)
     report = _metric_report(ref_seq, dist_seq, which, args.vmaf_csv,
@@ -199,10 +214,11 @@ def _cmd_bench(args) -> int:
     for method in methods:
         if method not in ("bicubic", "lanczos", "network"):
             raise _UsageError(f"unknown bench method {method!r}")
+    if "network" in methods and not args.weights:
+        raise _UsageError("the network method requires --weights")
+    _check_out_dir(args.out)
     model = None
     if "network" in methods:
-        if not args.weights:
-            raise _UsageError("the network method requires --weights")
         model = _load_model(args.weights, args.overlap)
     ref = _read_video(args.ref)
     if not ref.frames:
@@ -235,6 +251,10 @@ def _cmd_prepare_data(args) -> int:
     except ValueError:
         raise _UsageError(f"--qp-list must be comma-separated integers, "
                           f"got {args.qp_list!r}") from None
+    if Path(args.out).suffix == ".pak":
+        raise _UsageError(f"--out {args.out!r} ends in .pak, the name of the patch "
+                          "sidecar written beside the manifest; use a .jsonl path")
+    _check_out_dir(args.out)
     lr_dir, hr_dir = Path(args.lr_dir), Path(args.hr_dir)
     lr_files = sorted(p for p in lr_dir.iterdir()
                       if p.suffix in (".y4m", ".yuv"))

@@ -10,10 +10,11 @@ term is an externally supplied scalar folded in by `total_loss`.
 
 `perceptual_loss_grad` is the exact derivative of this formula, including
 the Gaussian-window chain rule for both structural terms. The SSIM and
-MS-SSIM values and gradients come from `metrics.ssim_term` and
-`metrics.ms_ssim_pyramid`, the same kernel that `metrics.ssim` and
+MS-SSIM values and gradients of each channel come from one
+`metrics.ssim_pyramid` call, the same kernel that `metrics.ssim` and
 `metrics.ms_ssim` use, which also holds the window-filter and pooling
-adjoints.
+adjoints. Both terms share that call's scale-0 statistics, so the five
+window filters run once per channel at scale 0, not twice.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MS_SSIM_WEIGHTS, SsimParams, ms_ssim_pyramid, ssim_term
+from .metrics import MS_SSIM_WEIGHTS, SsimParams, ssim_pyramid
 
 __all__ = [
     "LossWeights",
@@ -83,8 +84,7 @@ def perceptual_loss(pred, target, w: LossWeights | None = None) -> LossBreakdown
     ssim_vals = []
     ms_vals = []
     for c in range(pred.shape[0]):
-        s, _ = ssim_term(pred[c], target[c], _SSIM, True, False)
-        m, _ = ms_ssim_pyramid(pred[c], target[c], _SSIM, False)
+        (s, _), (m, _) = ssim_pyramid(pred[c], target[c], _SSIM, True, True, False)
         ssim_vals.append(s)
         ms_vals.append(m)
     ssim_loss = 1.0 - sum(ssim_vals) / len(ssim_vals)
@@ -107,13 +107,15 @@ def perceptual_loss_grad(pred, target, w: LossWeights | None = None) -> np.ndarr
     n = pred.size
     d = pred - target
     grad = (w.w_l1 / n) * np.sign(d) + (2.0 * w.w_l2 / n) * d
+    if w.w_ssim == 0.0 and w.w_msssim == 0.0:
+        return grad
     for c in range(nch):
-        if w.w_ssim != 0.0:
-            _, gs = ssim_term(pred[c], target[c], _SSIM, True, True)
-            grad[c] -= w.w_ssim * gs / nch
-        if w.w_msssim != 0.0:
-            _, gm = ms_ssim_pyramid(pred[c], target[c], _SSIM, True)
-            grad[c] -= w.w_msssim * gm / nch
+        s, m = ssim_pyramid(pred[c], target[c], _SSIM, w.w_ssim != 0.0,
+                            w.w_msssim != 0.0, True)
+        if s is not None:
+            grad[c] -= w.w_ssim * s[1] / nch
+        if m is not None:
+            grad[c] -= w.w_msssim * m[1] / nch
     return grad
 
 

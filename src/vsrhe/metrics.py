@@ -6,11 +6,15 @@ All statistics are computed in float64. SSIM uses an 11x11 Gaussian window
 contrast-structure term at the four finer scales, full SSIM at the
 coarsest, exponentiated by the standard weights.
 
-The SSIM maths lives here once: `ssim_term` is the per-scale kernel (mean
-SSIM or contrast-structure term, plus its gradient through the adjoint of
-the window filter) and `ms_ssim_pyramid` combines it over scales (plus the
-gradient through the adjoint of 2x2 mean pooling). `ssim`, `ms_ssim` and
-the structural terms of `losses` all call these two functions.
+The SSIM maths lives here once: `ssim_terms` is the per-scale kernel (mean
+SSIM and/or mean contrast-structure term from one pass of the five window
+filters, plus their gradients through the adjoint of the window filter),
+and `ssim_pyramid` combines it over scales (plus the gradient through the
+adjoint of 2x2 mean pooling). SSIM and MS-SSIM share the scale-0
+statistics: asked for both, `ssim_pyramid` filters scale 0 once, and
+`ssim_and_ms_ssim` gives the two values that `ssim` and `ms_ssim` give
+separately. `ssim`, `ms_ssim`, `ssim_and_ms_ssim` and the structural terms
+of `losses` all call these two functions.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "psnr_y",
     "ssim",
     "ms_ssim",
+    "ssim_and_ms_ssim",
     "MS_SSIM_WEIGHTS",
 ]
 
@@ -103,27 +108,18 @@ def _local_stats(x: np.ndarray, y: np.ndarray, p: SsimParams):
     return mu_x, mu_y, var_x, var_y, cov
 
 
-def ssim_term(x: np.ndarray, y: np.ndarray, p: SsimParams, luminance: bool,
-              want_grad: bool):
-    """Mean SSIM (with `luminance`) or mean contrast-structure term of one
-    plane pair over valid windows, and optionally its gradient w.r.t. x."""
+def ssim_terms(x: np.ndarray, y: np.ndarray, p: SsimParams, luminance: tuple,
+               want_grad: bool) -> list:
+    """Mean SSIM (flag True) or mean contrast-structure term (flag False) of
+    one plane pair over valid windows, for each flag in `luminance`, as a
+    list of (mean, gradient w.r.t. x or None). The local statistics are
+    computed once for all the flags."""
     mu_x, mu_y, var_x, var_y, cov = _local_stats(x, y, p)
     c1, c2 = p.c1, p.c2
     a2 = 2.0 * cov + c2
     b2 = var_x + var_y + c2
     del var_x, var_y, cov  # unused from here; freeing them bounds peak memory
     cs = a2 / b2
-    if luminance:
-        a1 = 2.0 * mu_x * mu_y + c1
-        b1 = mu_x ** 2 + mu_y ** 2 + c1
-        lum = a1 / b1
-        term = lum * cs
-    else:
-        lum = 1.0
-        term = cs
-    mean = float(np.mean(term))
-    if not want_grad:
-        return mean, None
     taps = p.taps
     half = p.window_size // 2
 
@@ -132,14 +128,29 @@ def ssim_term(x: np.ndarray, y: np.ndarray, p: SsimParams, luminance: bool,
         out = correlate1d(np.pad(partial, half), taps, axis=0, mode="constant")
         return correlate1d(out, taps, axis=1, mode="constant")
 
-    d_var = -lum * a2 / (b2 * b2)                 # d term / d(var_x)
-    d_cov = 2.0 * lum / b2                        # d term / d(cov)
-    d_lum = cs * (2.0 * mu_y * b1 - 2.0 * mu_x * a1) / (b1 * b1) if luminance else 0.0
-    d_mu = d_lum + d_var * (-2.0 * mu_x) + d_cov * (-mu_y)
-    grad = (adjoint_filter(d_mu)
-            + 2.0 * x * adjoint_filter(d_var)
-            + y * adjoint_filter(d_cov)) / term.size
-    return mean, grad
+    def term_of(with_luminance):
+        if with_luminance:
+            a1 = 2.0 * mu_x * mu_y + c1
+            b1 = mu_x ** 2 + mu_y ** 2 + c1
+            lum = a1 / b1
+            term = lum * cs
+        else:
+            lum = 1.0
+            term = cs
+        mean = float(np.mean(term))
+        if not want_grad:
+            return mean, None
+        d_var = -lum * a2 / (b2 * b2)                 # d term / d(var_x)
+        d_cov = 2.0 * lum / b2                        # d term / d(cov)
+        d_lum = (cs * (2.0 * mu_y * b1 - 2.0 * mu_x * a1) / (b1 * b1)
+                 if with_luminance else 0.0)
+        d_mu = d_lum + d_var * (-2.0 * mu_x) + d_cov * (-mu_y)
+        grad = (adjoint_filter(d_mu)
+                + 2.0 * x * adjoint_filter(d_var)
+                + y * adjoint_filter(d_cov)) / term.size
+        return mean, grad
+
+    return [term_of(flag) for flag in luminance]
 
 
 def psnr_y(ref, dist) -> float:
@@ -153,19 +164,6 @@ def psnr_y(ref, dist) -> float:
     return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
-def ssim(ref, dist, p: SsimParams | None = None) -> float:
-    """Mean SSIM over valid window positions of the luma plane (or 2-D grids)."""
-    if p is None:
-        p = SsimParams()
-    a = _luma(ref)
-    b = _luma(dist)
-    _check_geometry(a, b)
-    if min(a.shape) < p.window_size:
-        raise ValueError(
-            f"input {a.shape} smaller than the {p.window_size}x{p.window_size} window")
-    return ssim_term(a, b, p, True, False)[0]
-
-
 def mean_pool2(img: np.ndarray) -> np.ndarray:
     """2x2 mean pooling; odd trailing row/column is dropped."""
     h, w = img.shape
@@ -173,16 +171,27 @@ def mean_pool2(img: np.ndarray) -> np.ndarray:
     return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams, want_grad: bool):
-    """MS-SSIM of one plane pair over the scales of MS_SSIM_WEIGHTS, and
-    optionally its gradient w.r.t. x."""
-    scales = len(MS_SSIM_WEIGHTS)
+def ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams, want_ssim: bool,
+                 want_ms: bool, want_grad: bool):
+    """(SSIM, MS-SSIM) of one plane pair, each as (value, gradient w.r.t. x
+    or None), or None where not wanted. One statistics pass at scale 0
+    serves both; MS-SSIM then pools to the coarser scales of
+    MS_SSIM_WEIGHTS, and its gradient goes back through the adjoint of 2x2
+    mean pooling."""
+    last = len(MS_SSIM_WEIGHTS) - 1
+    # scale 0: the MS-SSIM contrast-structure term, then SSIM, from one pass
+    flags = ((False,) if want_ms else ()) + ((True,) if want_ssim else ())
+    terms = ssim_terms(x, y, p, flags, want_grad)
+    ssim_out = terms.pop() if want_ssim else None
+    if not want_ms:
+        return ssim_out, None
     shapes, vals, grads = [], [], []
-    for j in range(scales):
+    for j in range(last + 1):
         if j:
             x, y = mean_pool2(x), mean_pool2(y)
+            terms = ssim_terms(x, y, p, (j == last,), want_grad)
         shapes.append(x.shape)
-        v, g = ssim_term(x, y, p, j == scales - 1, want_grad)
+        (v, g), = terms
         if v <= 0.0:
             raise ValueError(
                 f"non-positive similarity mean {v} at scale {j}; "
@@ -193,9 +202,9 @@ def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams, want_grad: bool
     for v, w in zip(vals, MS_SSIM_WEIGHTS):
         ms *= v ** w
     if not want_grad:
-        return ms, None
+        return ssim_out, (ms, None)
     total_grad = np.zeros(shapes[0], dtype=np.float64)
-    for j in range(scales):
+    for j in range(last + 1):
         g = grads[j] * (ms * MS_SSIM_WEIGHTS[j] / vals[j])
         for k in range(j - 1, -1, -1):
             # adjoint of 2x2 mean pooling; zeros on a cropped odd row/column
@@ -204,24 +213,45 @@ def ms_ssim_pyramid(x: np.ndarray, y: np.ndarray, p: SsimParams, want_grad: bool
             up[:2 * h2, :2 * w2] = np.repeat(np.repeat(g, 2, axis=0), 2, axis=1) * 0.25
             g = up
         total_grad += g
-    return ms, total_grad
+    return ssim_out, (ms, total_grad)
 
 
-def ms_ssim(ref, dist, p: SsimParams | None = None) -> float:
-    """Multi-scale SSIM: mean contrast-structure at the finer scales, full
-    SSIM at the coarsest, combined as a weighted geometric product."""
+def _structural(ref, dist, p: SsimParams | None, want_ssim: bool, want_ms: bool):
+    """(SSIM, MS-SSIM) values of the luma planes of a pair, None where not
+    wanted, after checking the sizes that each needs."""
     if p is None:
         p = SsimParams()
     a = _luma(ref)
     b = _luma(dist)
     _check_geometry(a, b)
+    if want_ssim and min(a.shape) < p.window_size:
+        raise ValueError(
+            f"input {a.shape} smaller than the {p.window_size}x{p.window_size} window")
     scales = len(MS_SSIM_WEIGHTS)
     min_dim = p.window_size * 2 ** (scales - 1)
-    if min(a.shape) < min_dim:
+    if want_ms and min(a.shape) < min_dim:
         raise ValueError(
             f"input {a.shape} too small for {scales}-scale MS-SSIM; "
             f"minimum dimension is {min_dim}")
-    return ms_ssim_pyramid(a, b, p, False)[0]
+    s, m = ssim_pyramid(a, b, p, want_ssim, want_ms, False)
+    return None if s is None else s[0], None if m is None else m[0]
+
+
+def ssim(ref, dist, p: SsimParams | None = None) -> float:
+    """Mean SSIM over valid window positions of the luma plane (or 2-D grids)."""
+    return _structural(ref, dist, p, True, False)[0]
+
+
+def ms_ssim(ref, dist, p: SsimParams | None = None) -> float:
+    """Multi-scale SSIM: mean contrast-structure at the finer scales, full
+    SSIM at the coarsest, combined as a weighted geometric product."""
+    return _structural(ref, dist, p, False, True)[1]
+
+
+def ssim_and_ms_ssim(ref, dist) -> tuple:
+    """(ssim(ref, dist), ms_ssim(ref, dist)), equal to the two calls, from one
+    statistics pass at scale 0 instead of two."""
+    return _structural(ref, dist, None, True, True)
 
 
 @dataclass

@@ -199,6 +199,10 @@ def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
     # stitch in fixed raster order regardless of compute order
     total = len(plan.origins)
     for i, ((ox, oy), out) in enumerate(zip(plan.origins, outputs)):
+        if not np.isfinite(out).all():
+            # NaN would otherwise quantize silently to code 0
+            raise ValueError(f"frame {frame_index} tile {i + 1}/{total} at LR "
+                             f"({ox}, {oy}): network output is not finite")
         t = tile * scale
         w2d = _tile_weight(plan, ox, oy, scale)
         ys, xs = oy * scale, ox * scale

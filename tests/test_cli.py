@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import make_video
 import vsrhe
-from vsrhe import cli, frame_io, network, pipeline, weights_io
+from vsrhe import cli, frame_io, metrics, network, pipeline, resample, weights_io
 
 
 FAST_CFG = network.NetworkConfig(channel_dim=8, blocks=1, window_sizes=(8,),
@@ -197,19 +198,35 @@ class TestUpscale:
         assert not (tmp_path / "o.y4m").exists()
 
 
+def noisy_copy(rng, seq):
+    return frame_io.VideoSequence(frames=[
+        frame_io.Frame(
+            y=np.clip(f.y.astype(np.int16) + rng.integers(-3, 4, f.y.shape),
+                      0, 255).astype(np.uint8),
+            cb=f.cb, cr=f.cr)
+        for f in seq.frames])
+
+
+def captured_reports(monkeypatch):
+    """Every MetricReport the CLI builds, in order."""
+    reports = []
+
+    class Spy(metrics.MetricReport):
+        def __post_init__(self):
+            super().__post_init__()
+            reports.append(self)
+
+    monkeypatch.setattr(metrics, "MetricReport", Spy)
+    return reports
+
+
 class TestMetrics:
     def test_report(self, rng, tmp_path):
         ref = tmp_path / "ref.y4m"
         dist = tmp_path / "dist.y4m"
         seq = make_video(rng, 192, 192, 2)
         write_y4m(ref, seq)
-        noisy = frame_io.VideoSequence(frames=[
-            frame_io.Frame(
-                y=np.clip(f.y.astype(np.int16) + rng.integers(-3, 4, f.y.shape),
-                          0, 255).astype(np.uint8),
-                cb=f.cb, cr=f.cr)
-            for f in seq.frames])
-        write_y4m(dist, noisy)
+        write_y4m(dist, noisy_copy(rng, seq))
         out = tmp_path / "report.csv"
         rc = cli.run(["metrics", "--ref", str(ref), "--dist", str(dist),
                       "--out", str(out)])
@@ -218,6 +235,33 @@ class TestMetrics:
         assert lines[0] == "frame,psnr_y,ssim,msssim"
         assert len(lines) == 4  # header + 2 frames + mean
         assert lines[-1].startswith("mean,")
+
+    @pytest.mark.parametrize("which", ["psnr,ssim,msssim", "ssim", "msssim"])
+    def test_values_are_those_of_ssim_and_ms_ssim(self, rng, tmp_path, monkeypatch,
+                                                   which):
+        # SSIM and MS-SSIM share one scale-0 pass; the report holds exactly
+        # what the separate public functions give on the same frames
+        seq = make_video(rng, 192, 176, 2)
+        dist_seq = noisy_copy(rng, seq)
+        write_y4m(tmp_path / "ref.y4m", seq)
+        write_y4m(tmp_path / "dist.y4m", dist_seq)
+        reports = captured_reports(monkeypatch)
+        out = tmp_path / "report.csv"
+        assert cli.run(["metrics", "--ref", str(tmp_path / "ref.y4m"), "--dist",
+                        str(tmp_path / "dist.y4m"), "--metrics", which,
+                        "--out", str(out)]) == 0
+        wanted = which.split(",")
+        pairs = list(zip(read_y4m(tmp_path / "ref.y4m").frames,
+                         read_y4m(tmp_path / "dist.y4m").frames))
+        nan = float("nan")
+        ssim = [metrics.ssim(r, d) if "ssim" in wanted else nan for r, d in pairs]
+        ms = [metrics.ms_ssim(r, d) if "msssim" in wanted else nan for r, d in pairs]
+        (report,) = reports
+        assert list(map(repr, report.ssim)) == list(map(repr, ssim))
+        assert list(map(repr, report.msssim)) == list(map(repr, ms))
+        buf = io.StringIO()
+        report.write_csv(buf)
+        assert out.read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_unknown_metric(self, tmp_path):
         rc = cli.run(["metrics", "--ref", "a.y4m", "--dist", "b.y4m",
@@ -263,6 +307,24 @@ class TestBench:
         text = out.read_text()
         assert "PSNR-Y (dB)" in text
         assert "bicubic" in text and "lanczos" in text
+
+    def test_values_are_those_of_ssim_and_ms_ssim(self, rng, tmp_path, monkeypatch):
+        ref = tmp_path / "ref.y4m"
+        write_y4m(ref, make_video(rng, 256, 256, 1))
+        reports = captured_reports(monkeypatch)
+        out = tmp_path / "table.txt"
+        assert cli.run(["bench", "--ref", str(ref), "--methods", "bicubic,lanczos",
+                        "--out", str(out)]) == 0
+        ref_seq = read_y4m(ref)
+        lr = resample.downscale_video(ref_seq, 4, resample.KernelSpec.bicubic())
+        kernels = (resample.KernelSpec.bicubic(), resample.KernelSpec.lanczos())
+        assert [r.method for r in reports] == ["bicubic", "lanczos"]
+        for report, kernel in zip(reports, kernels):
+            cand = resample.upscale_video(lr, 4, kernel)
+            pairs = list(zip(ref_seq.frames, cand.frames))
+            assert report.ssim == [metrics.ssim(r, c) for r, c in pairs]
+            assert report.msssim == [metrics.ms_ssim(r, c) for r, c in pairs]
+        assert out.read_bytes() == metrics.format_summary_table(reports).encode("utf-8")
 
     def test_network_needs_weights(self, rng, tmp_path):
         ref = tmp_path / "ref.y4m"
@@ -345,6 +407,16 @@ class TestPrepareData:
         assert "--qp-list" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_naming_the_sidecar_is_usage_error(self, tmp_path, capsys):
+        # the manifest would overwrite its own .pak sidecar; neither directory
+        # exists, so the name must be rejected before any read
+        out = tmp_path / "train.pak"
+        rc = cli.run(["prepare-data", "--lr-dir", str(tmp_path / "lr"), "--hr-dir",
+                      str(tmp_path / "hr"), "--count", "3", "--out", str(out)])
+        assert rc == 1
+        assert "--out" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_end_to_end(self, rng, tmp_path):
         lr_dir = tmp_path / "lr"
         hr_dir = tmp_path / "hr"
@@ -385,6 +457,62 @@ class TestPrepareData:
                       str(hr_dir), "--count", "2",
                       "--out", str(tmp_path / "m.jsonl")])
         assert rc == 2
+
+
+class TestOutputDirectory:
+    """An --out in a missing directory fails before any input or weight file
+    is read, names the directory, and leaves no file."""
+
+    def test_upscale(self, tmp_path, video_64, capsys, monkeypatch):
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+
+        def never(*args, **kwargs):
+            raise AssertionError("upscale_sequence ran")
+
+        monkeypatch.setattr(pipeline, "upscale_sequence", never)
+        monkeypatch.setattr(weights_io, "load_weights", never)
+        before = set(tmp_path.rglob("*"))
+        rc = cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
+                      "--out", str(tmp_path / "nodir" / "out.y4m")])
+        assert rc == 2
+        assert str(tmp_path / "nodir") in capsys.readouterr().err
+        assert set(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["downscale", "--in", "{clip}"],
+        ["metrics", "--ref", "{clip}", "--dist", "{clip}"],
+        ["bench", "--ref", "{clip}", "--methods", "bicubic"],
+        ["prepare-data", "--lr-dir", "{dir}", "--hr-dir", "{dir}"],
+    ], ids=["downscale", "metrics", "bench", "prepare-data"])
+    def test_other_commands(self, tmp_path, video_64, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "_read_video", never)
+        before = set(tmp_path.rglob("*"))
+        argv = [a.format(clip=video_64, dir=tmp_path) for a in argv]
+        rc = cli.run(argv + ["--out", str(tmp_path / "nodir" / "out")])
+        assert rc == 2
+        assert str(tmp_path / "nodir") in capsys.readouterr().err
+        assert set(tmp_path.rglob("*")) == before
+
+
+class TestNonFiniteOutput:
+    def test_nan_tile_exits_2_without_output(self, tmp_path, video_64, capsys,
+                                             monkeypatch):
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        monkeypatch.setattr(pipeline, "forward",
+                            lambda block, w, cfg: np.full((3, 256, 256), np.nan,
+                                                          np.float32))
+        out = tmp_path / "out.y4m"
+        rc = cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
+                      "--out", str(out), "--threads", "1"])
+        assert rc == 2
+        assert "tile 1/1" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestInspectWeights:

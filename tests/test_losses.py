@@ -5,7 +5,8 @@ import pytest
 
 from conftest import fd_gradient
 from vsrhe import losses, metrics
-from vsrhe.losses import LossWeights, perceptual_loss, perceptual_loss_grad, total_loss
+from vsrhe.losses import (LossBreakdown, LossWeights, perceptual_loss,
+                          perceptual_loss_grad, total_loss)
 from vsrhe.metrics import SsimParams
 
 
@@ -71,6 +72,39 @@ class TestPerceptualLoss:
             perceptual_loss(np.zeros((3, 176, 176)), np.zeros((3, 176, 180)))
         with pytest.raises(ValueError, match="minimum"):
             perceptual_loss(np.zeros((3, 64, 64)), np.zeros((3, 64, 64)))
+
+
+def composed_from_single_terms(pred, target, w):
+    """perceptual_loss and perceptual_loss_grad rebuilt from one kernel call
+    per structural term and channel, in the same order of operations."""
+    p = SsimParams(dynamic_range=1.0)
+    ssim = [metrics.ssim_terms(pred[c], target[c], p, (True,), True)[0] for c in range(3)]
+    ms = [metrics.ssim_pyramid(pred[c], target[c], p, False, True, True)[1]
+          for c in range(3)]
+    d = pred - target
+    l1 = float(np.mean(np.abs(d)))
+    l2 = float(np.mean(d * d))
+    ssim_loss = 1.0 - sum(v for v, _ in ssim) / 3
+    msssim_loss = 1.0 - sum(v for v, _ in ms) / 3
+    total = w.w_l1 * l1 + w.w_ssim * ssim_loss + w.w_l2 * l2 + w.w_msssim * msssim_loss
+    grad = (w.w_l1 / d.size) * np.sign(d) + (2.0 * w.w_l2 / d.size) * d
+    for c in range(3):
+        if w.w_ssim != 0.0:
+            grad[c] -= w.w_ssim * ssim[c][1] / 3
+        if w.w_msssim != 0.0:
+            grad[c] -= w.w_msssim * ms[c][1] / 3
+    return LossBreakdown(total, l1, ssim_loss, l2, msssim_loss), grad
+
+
+@pytest.mark.parametrize("w", [
+    LossWeights(), LossWeights(0.1, 0.7, 0.2, 0.3), LossWeights(w_ssim=0.0),
+    LossWeights(w_msssim=0.0)], ids=["default", "custom", "no-ssim", "no-msssim"])
+def test_shared_scale0_pass_equals_single_terms(w):
+    # one ssim_pyramid call per channel serves both structural terms
+    pred, target = grad_check_pair(12, 180, 184)
+    want_loss, want_grad = composed_from_single_terms(pred, target, w)
+    assert perceptual_loss(pred, target, w) == want_loss
+    assert np.array_equal(perceptual_loss_grad(pred, target, w), want_grad)
 
 
 class TestGradient:

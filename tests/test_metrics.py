@@ -138,6 +138,23 @@ class TestMsSsim:
         assert metrics.ms_ssim(a, mild) > metrics.ms_ssim(a, harsh)
 
 
+class TestSharedStatistics:
+    """SSIM and MS-SSIM asked for together share one statistics pass at
+    scale 0 and give exactly what the separate calls give."""
+
+    def test_equals_the_two_calls(self, rng):
+        a, b = correlated_pair(rng, 180, 200)
+        assert metrics.ssim_and_ms_ssim(a, b) == (metrics.ssim(a, b), metrics.ms_ssim(a, b))
+        fa, fb = make_frame(rng, 192, 176), make_frame(rng, 192, 176)
+        assert metrics.ssim_and_ms_ssim(fa, fb) == (metrics.ssim(fa, fb),
+                                                    metrics.ms_ssim(fa, fb))
+
+    @pytest.mark.parametrize("shape,match", [((8, 8), "window"), ((128, 256), "176")])
+    def test_size_errors_as_the_two_calls(self, shape, match):
+        with pytest.raises(ValueError, match=match):
+            metrics.ssim_and_ms_ssim(np.zeros(shape), np.zeros(shape))
+
+
 class TestMeanPool2:
     def test_exact(self):
         img = np.array([[1.0, 3.0], [5.0, 7.0]])

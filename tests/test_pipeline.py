@@ -116,6 +116,17 @@ class TestUpscaleFrame:
         with pytest.raises(ValueError, match="C420"):
             upscale_frame(make_frame(rng, 64, 64, C444), NearestStub())
 
+    def test_non_finite_tile_output(self, rng):
+        calls = []
+
+        def model(block):   # NaN from the second tile only
+            calls.append(1)
+            out = NearestStub()(block)
+            return out * np.float32("nan") if len(calls) == 2 else out
+
+        with pytest.raises(ValueError, match=r"frame 3 tile 2/2 at LR \(56, 0\): .*not finite"):
+            upscale_frame(make_frame(rng, 120, 64), model, frame_index=3)
+
     def test_progress_lines(self, rng):
         buf = io.StringIO()
         upscale_frame(make_frame(rng, 120, 64), NearestStub(), progress=buf,
