@@ -31,11 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> _Parser:
@@ -46,9 +49,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True, help="input video (.y4m or raw .yuv)")
     p.add_argument("--weights", required=True, help="network weight file")
     p.add_argument("--out", required=True, help="output video path")
-    p.add_argument("--overlap", type=_non_negative_int, default=8,
+    p.add_argument("--overlap", type=_int_at_least(0), default=8,
                    help="tile overlap in LR pixels")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
                    help="tile worker threads (default: the number of CPUs this "
                         "process may run on)")
     p.add_argument("--width", type=int, help="frame width (raw YUV input only)")
@@ -77,13 +80,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", default="bicubic,network")
     p.add_argument("--weights", help="weight file (needed for the network method)")
     p.add_argument("--out", required=True, help="output text table")
-    p.add_argument("--overlap", type=_non_negative_int, default=8)
+    p.add_argument("--overlap", type=_int_at_least(0), default=8)
 
     p = sub.add_parser("prepare-data", help="extract training patch pairs")
     p.add_argument("--lr-dir", required=True)
     p.add_argument("--hr-dir", required=True)
-    p.add_argument("--qp-list", default=",".join(str(q) for q in dataprep.DEFAULT_QP_LIST))
-    p.add_argument("--count", type=int, default=100000)
+    p.add_argument("--count", type=_int_at_least(1), default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="manifest path (.jsonl)")
 
@@ -150,8 +152,7 @@ def _kernel_from_args(args) -> resample.KernelSpec:
 
 
 def _cmd_upscale(args) -> int:
-    threads = (len(os.sched_getaffinity(0)) if args.threads is None
-               else max(1, args.threads))
+    threads = args.threads or len(os.sched_getaffinity(0))
     _check_out_dir(args.out)
     model = _load_model(args.weights, args.overlap)
     seq = _read_video(args.input, args.width, args.height)
@@ -223,9 +224,6 @@ def _cmd_bench(args) -> int:
     ref = _read_video(args.ref)
     if not ref.frames:
         raise ValueError("reference has no frames")
-    f0 = ref.frames[0]
-    if f0.width % 4 or f0.height % 4:
-        raise ValueError(f"reference {f0.width}x{f0.height} not divisible by 4")
     lr = resample.downscale_video(ref, 4, resample.KernelSpec.bicubic())
     reports = []
     which = {"psnr", "ssim", "msssim"}
@@ -244,29 +242,21 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_prepare_data(args) -> int:
-    if args.count < 1:
-        raise _UsageError(f"--count must be at least 1, got {args.count}")
-    try:
-        qp_list = [int(q) for q in args.qp_list.split(",") if q.strip()]
-    except ValueError:
-        raise _UsageError(f"--qp-list must be comma-separated integers, "
-                          f"got {args.qp_list!r}") from None
     if Path(args.out).suffix == ".pak":
         raise _UsageError(f"--out {args.out!r} ends in .pak, the name of the patch "
                           "sidecar written beside the manifest; use a .jsonl path")
     _check_out_dir(args.out)
     lr_dir, hr_dir = Path(args.lr_dir), Path(args.hr_dir)
-    lr_files = sorted(p for p in lr_dir.iterdir()
-                      if p.suffix in (".y4m", ".yuv"))
+    lr_files = sorted(p for p in lr_dir.iterdir() if p.suffix == ".y4m")
     if not lr_files:
-        raise ValueError(f"no .y4m/.yuv sources in {lr_dir}")
+        raise ValueError(f"no .y4m sources in {lr_dir}")
     sources = []
     for lr_path in lr_files:
         hr_path = hr_dir / lr_path.name
         if not hr_path.exists():
             raise ValueError(f"no HR counterpart for {lr_path.name} in {hr_dir}")
         m = re.search(r"qp(\d+)", lr_path.stem, re.IGNORECASE)
-        qp = int(m.group(1)) if m else (qp_list[0] if qp_list else 0)
+        qp = int(m.group(1)) if m else dataprep.DEFAULT_QP_LIST[0]
         sources.append((lr_path, hr_path, qp))
     per_source = args.count // len(sources)
     if per_source:
@@ -303,9 +293,10 @@ def _cmd_inspect_weights(args) -> int:
     flops = network.count_flops(cfg)
     pdev = 100.0 * (params - network.REFERENCE_PARAMS) / network.REFERENCE_PARAMS
     fdev = 100.0 * (flops - network.REFERENCE_FLOPS) / network.REFERENCE_FLOPS
-    print(f"params: {params} ({params / 1e6:.2f}M)  paper: 5.43M  deviation: {pdev:+.1f}%")
+    print(f"params: {params} ({params / 1e6:.2f}M)  "
+          f"paper: {network.REFERENCE_PARAMS / 1e6:.2f}M  deviation: {pdev:+.1f}%")
     print(f"flops (64x64 input, 2*MAC convention): {flops} ({flops / 1e9:.2f}G)  "
-          f"paper: 455.16G  deviation: {fdev:+.1f}%")
+          f"paper: {network.REFERENCE_FLOPS / 1e9:.2f}G  deviation: {fdev:+.1f}%")
     return 0
 
 
@@ -332,8 +323,9 @@ def run(argv) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as e:
+        # a MemoryError raised by the interpreter itself has no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -163,7 +163,7 @@ def lr_schedule(iteration: int) -> float:
 class Manifest:
     """Patch-pair locators plus the generation parameters that produced them."""
 
-    header: dict            # seed, count, qp_list, pak file name, ...
+    header: dict            # kind, version, count, pak file name, patch sizes
     records: list           # one dict per pair with offset into the pak
     pak_path: Path
 

@@ -300,16 +300,6 @@ class MetricReport:
             mean_row.append(_fmt(self.mean("vmaf")))
         writer.writerow(mean_row)
 
-    def summary_row(self) -> dict:
-        row = {
-            "Method": self.method,
-            "PSNR-Y (dB)": self.mean("psnr_y"),
-            "SSIM": self.mean("ssim"),
-            "MS-SSIM": self.mean("msssim"),
-        }
-        row["VMAF"] = self.mean("vmaf") if self.vmaf is not None else None
-        return row
-
 
 def _fmt(v: float) -> str:
     if v != v:  # nan
@@ -322,16 +312,10 @@ def _fmt(v: float) -> str:
 def format_summary_table(reports: Sequence[MetricReport]) -> str:
     """Plain-text comparison table: one row per method, published column order."""
     headers = ["Method", "PSNR-Y (dB)", "SSIM", "MS-SSIM", "VMAF"]
-    rows = []
-    for r in reports:
-        s = r.summary_row()
-        rows.append([
-            s["Method"],
-            "inf" if math.isinf(s["PSNR-Y (dB)"]) else f"{s['PSNR-Y (dB)']:.2f}",
-            f"{s['SSIM']:.4f}",
-            f"{s['MS-SSIM']:.4f}",
-            "-" if s["VMAF"] is None else f"{s['VMAF']:.2f}",
-        ])
+    rows = [[r.method, f"{r.mean('psnr_y'):.2f}", f"{r.mean('ssim'):.4f}",
+             f"{r.mean('msssim'):.4f}",
+             "-" if r.vmaf is None else f"{r.mean('vmaf'):.2f}"]
+            for r in reports]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]

@@ -237,10 +237,11 @@ def forward(x, weights: dict, cfg: NetworkConfig) -> np.ndarray:
     """Full forward pass: [in_channels, s, s] -> [out_channels, scale*s, scale*s].
 
     s must be divisible by every window size (the inference pipeline tiles
-    frames into input_size blocks before calling this).
+    frames into input_size blocks before calling this). `weights` must
+    already match `cfg` as `validate_weights` checks it: `load_weights`
+    validates every map it returns, and `init_random` and `zero_weights`
+    build well-formed ones, so forward does not check them again per tile.
     """
-    validate_weights(weights, cfg)
-
     head = conv2d(x, weights["head.conv.weight"], weights["head.conv.bias"])
     f = head
     for b in range(cfg.blocks):

@@ -220,12 +220,8 @@ def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
 def upscale_sequence(seq: VideoSequence, model, overlap: int = 8,
                      threads: int = 1, progress=None) -> VideoSequence:
     """Frame-wise map of upscale_frame; no temporal state."""
-    frames = []
-    for i, f in enumerate(seq.frames):
-        try:
-            frames.append(upscale_frame(f, model, overlap=overlap, threads=threads,
-                                        progress=progress, frame_index=i))
-        except Exception as e:
-            raise RuntimeError(f"frame {i}: {e}") from e
+    frames = [upscale_frame(f, model, overlap=overlap, threads=threads,
+                            progress=progress, frame_index=i)
+              for i, f in enumerate(seq.frames)]
     return VideoSequence(frames=frames, frame_rate=seq.frame_rate,
                          metadata=dict(seq.metadata))

@@ -177,6 +177,18 @@ class TestUpscale:
             digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert len(digests) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        # the clip does not exist: the thread count must be rejected before it is read
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        out = tmp_path / "o.y4m"
+        rc = cli.run(["upscale", "--in", str(tmp_path / "none.y4m"), "--weights",
+                      str(wpath), "--out", str(out), "--threads", threads])
+        assert rc == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overlap", ["64", "-1"])
     def test_bad_overlap_is_usage_error(self, tmp_path, capsys, overlap):
         # the clip does not exist: the overlap must be rejected before it is read
@@ -196,6 +208,23 @@ class TestUpscale:
                       "--out", str(tmp_path / "o.y4m")])
         assert rc == 2
         assert not (tmp_path / "o.y4m").exists()
+
+    def test_tile_out_of_memory_exits_2_without_output(self, tmp_path, video_64,
+                                                       capsys, monkeypatch):
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+
+        def forward(block, w, cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(pipeline, "forward", forward)
+        out = tmp_path / "out.y4m"
+        rc = cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
+                      "--out", str(out), "--threads", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 def noisy_copy(rng, seq):
@@ -363,6 +392,16 @@ class TestBench:
         assert "reference has no frames" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reference_not_divisible_by_4(self, rng, tmp_path, capsys):
+        ref = tmp_path / "ref.y4m"
+        write_y4m(ref, make_video(rng, 66, 64, 1))
+        out = tmp_path / "t.txt"
+        rc = cli.run(["bench", "--ref", str(ref), "--methods", "bicubic",
+                      "--out", str(out)])
+        assert rc == 2
+        assert "66x64 not divisible" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.y4m"]
+
 
 def three_sources(rng, tmp_path):
     lr_dir = tmp_path / "lr"
@@ -398,15 +437,6 @@ class TestPrepareData:
         assert "--count" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_qp_list_is_usage_error(self, tmp_path, capsys):
-        # neither directory exists: the list must be rejected before any read
-        out = tmp_path / "m.jsonl"
-        rc = cli.run(["prepare-data", "--lr-dir", str(tmp_path / "lr"), "--hr-dir",
-                      str(tmp_path / "hr"), "--qp-list", "a,b", "--out", str(out)])
-        assert rc == 1
-        assert "--qp-list" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_out_naming_the_sidecar_is_usage_error(self, tmp_path, capsys):
         # the manifest would overwrite its own .pak sidecar; neither directory
         # exists, so the name must be rejected before any read
@@ -434,6 +464,35 @@ class TestPrepareData:
         assert len(m) == 8
         qps = {r["qp"] for r in m.records}
         assert qps == {27, 37}
+
+    def test_unlabelled_source_gets_qp_17(self, rng, tmp_path):
+        lr_dir = tmp_path / "lr"
+        hr_dir = tmp_path / "hr"
+        lr_dir.mkdir()
+        hr_dir.mkdir()
+        write_y4m(lr_dir / "clip.y4m", make_video(rng, 96, 80, 1))
+        write_y4m(hr_dir / "clip.y4m", make_video(rng, 384, 320, 1))
+        out = tmp_path / "train.jsonl"
+        rc = cli.run(["prepare-data", "--lr-dir", str(lr_dir), "--hr-dir",
+                      str(hr_dir), "--count", "2", "--out", str(out)])
+        assert rc == 0
+        from vsrhe import dataprep
+        assert [r["qp"] for r in dataprep.read_manifest(out).records] == [17, 17]
+
+    def test_yuv_sources_are_not_read(self, tmp_path, capsys):
+        # prepare-data has no --width/--height, so raw YUV cannot be a source
+        lr_dir = tmp_path / "lr"
+        hr_dir = tmp_path / "hr"
+        lr_dir.mkdir()
+        hr_dir.mkdir()
+        (lr_dir / "a.yuv").write_bytes(bytes(96 * 80 * 3 // 2))
+        (hr_dir / "a.yuv").write_bytes(bytes(384 * 320 * 3 // 2))
+        out = tmp_path / "train.jsonl"
+        rc = cli.run(["prepare-data", "--lr-dir", str(lr_dir), "--hr-dir",
+                      str(hr_dir), "--count", "2", "--out", str(out)])
+        assert rc == 2
+        assert f"no .y4m sources in {lr_dir}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hr", "lr"]
 
     def test_failed_manifest_write_leaves_no_files(self, rng, tmp_path):
         # --out names an existing directory: the sidecar is written first,
@@ -510,7 +569,9 @@ class TestNonFiniteOutput:
         rc = cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
                       "--out", str(out), "--threads", "1"])
         assert rc == 2
-        assert "tile 1/1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tile 1/1" in err
+        assert err.count("frame 0") == 1
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 

@@ -200,11 +200,21 @@ class TestForward:
         out_b = network.forward(x, w, cfg_b)
         assert not np.array_equal(out_a, out_b)
 
-    def test_mismatched_weights_rejected(self, rng):
+    @pytest.mark.parametrize("damage,message", [
+        (lambda w: w.pop("body.conv.bias"), "missing weight tensor 'body.conv.bias'"),
+        (lambda w: w.update(extra=np.zeros(1, np.float32)),
+         "unknown weight tensor 'extra'"),
+        (lambda w: w.update({"body.conv.bias": np.zeros(5, np.float32)}),
+         "'body.conv.bias' has shape (5,), expected (12,)"),
+        (lambda w: np.put(w["body.conv.bias"], 3, np.nan),
+         "'body.conv.bias' contains non-finite values"),
+    ], ids=["missing", "unknown", "shape", "non_finite"])
+    def test_mismatched_weights_rejected(self, damage, message):
         w = network.init_random(SMALL, 0)
-        del w["body.conv.bias"]
-        with pytest.raises(ValueError, match="body.conv.bias"):
-            network.forward(np.zeros((3, 64, 64), np.float32), w, SMALL)
+        damage(w)
+        with pytest.raises(ValueError) as err:
+            network.validate_weights(w, SMALL)
+        assert message in str(err.value)
 
 
 # Hashes a full-width conv2d (126 -> 504 on 64x64) and a one-block

@@ -149,9 +149,10 @@ class TestUpscaleSequence:
         out = upscale_sequence(seq, NearestStub())
         assert out.frame_rate == seq.frame_rate
 
-    def test_error_names_frame(self, rng):
+    def test_error_keeps_its_type(self, rng):
+        # a frame's error reaches the caller as raised, not wrapped again
         seq = make_video(rng, 64, 64, 1, C444)
-        with pytest.raises(RuntimeError, match="frame 0"):
+        with pytest.raises(ValueError, match="C420"):
             upscale_sequence(seq, NearestStub())
 
     def test_empty_sequence(self):
