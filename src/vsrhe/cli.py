@@ -152,12 +152,11 @@ def _kernel_from_args(args) -> resample.KernelSpec:
 
 
 def _cmd_upscale(args) -> int:
-    threads = args.threads or len(os.sched_getaffinity(0))
     _check_out_dir(args.out)
     model = _load_model(args.weights, args.overlap)
     seq = _read_video(args.input, args.width, args.height)
     out = pipeline.upscale_sequence(seq, model, overlap=args.overlap,
-                                    threads=threads, progress=sys.stderr)
+                                    threads=args.threads, progress=sys.stderr)
     _write_atomic(args.out, lambda f: _video_writer(args.out)(out, f))
     return 0
 
@@ -224,14 +223,14 @@ def _cmd_bench(args) -> int:
     ref = _read_video(args.ref)
     if not ref.frames:
         raise ValueError("reference has no frames")
-    lr = resample.downscale_video(ref, 4, resample.KernelSpec.bicubic())
+    lr = resample.downscale_video(ref, network.SCALE, resample.KernelSpec.bicubic())
     reports = []
     which = {"psnr", "ssim", "msssim"}
     for method in methods:
         if method == "bicubic":
-            cand = resample.upscale_video(lr, 4, resample.KernelSpec.bicubic())
+            cand = resample.upscale_video(lr, network.SCALE, resample.KernelSpec.bicubic())
         elif method == "lanczos":
-            cand = resample.upscale_video(lr, 4, resample.KernelSpec.lanczos())
+            cand = resample.upscale_video(lr, network.SCALE, resample.KernelSpec.lanczos())
         else:
             cand = pipeline.upscale_sequence(lr, model, overlap=args.overlap)
         reports.append(_metric_report(ref, cand, which, None,

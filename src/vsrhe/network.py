@@ -29,6 +29,7 @@ __all__ = [
     "count_flops",
     "REFERENCE_PARAMS",
     "REFERENCE_FLOPS",
+    "SCALE",
 ]
 
 # Published complexity figures for the original model, used for the
@@ -39,55 +40,58 @@ REFERENCE_FLOPS = 455.16e9
 # Query rows per attention block: 128 x 4096 float32 scores is 2 MB.
 _ATTN_ROWS = 128
 
+# The fixed shape: 3-plane YCbCr in and out, 4x by two x2 pixel-shuffle
+# stages, and an MLP twice the channel width. Older weight files carry it
+# as config keys, which must hold these values.
+SCALE = 4
+_PLANES = 3
+_UP_STAGES = 2
+_FIXED_KEYS = {"in_channels": _PLANES, "out_channels": _PLANES, "mlp_ratio": 2.0,
+               "scale": SCALE}
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture hyperparameters. Defaults give the full-size model."""
 
-    in_channels: int = 3
-    out_channels: int = 3
     channel_dim: int = 126
     blocks: int = 6
     window_sizes: tuple = (64, 32, 8, 32, 64)
     heads: int = 6
-    mlp_ratio: float = 2.0
     input_size: int = 64
-    scale: int = 4
 
     def __post_init__(self):
-        if self.channel_dim % self.heads != 0:
-            raise ValueError(
-                f"heads ({self.heads}) must divide channel_dim ({self.channel_dim})")
         object.__setattr__(self, "window_sizes", tuple(self.window_sizes))
+        if not self.window_sizes:
+            raise ValueError("window_sizes must not be empty")
+        fields = [(k, getattr(self, k))
+                  for k in ("channel_dim", "blocks", "heads", "input_size")]
+        for key, value in fields + [("window size", w) for w in self.window_sizes]:
+            if type(value) is not int or value < 1:     # bool is not an integer here
+                raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
         for w in self.window_sizes:
             if self.input_size % w != 0:
                 raise ValueError(
                     f"window size {w} does not divide input_size {self.input_size}")
-        s = self.scale
-        if s < 1 or (s & (s - 1)) != 0:
-            raise ValueError(f"scale must be a power of 2, got {s}")
-        if self.blocks < 1:
-            raise ValueError(f"blocks must be positive, got {self.blocks}")
-        if self.mlp_ratio <= 0:
-            raise ValueError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+        if self.channel_dim % self.heads != 0:
+            raise ValueError(
+                f"heads ({self.heads}) must divide channel_dim ({self.channel_dim})")
 
     @property
     def hidden_dim(self) -> int:
-        return math.ceil(self.mlp_ratio * self.channel_dim)
-
-    @property
-    def head_dim(self) -> int:
-        return self.channel_dim // self.heads
-
-    @property
-    def upsample_stages(self) -> int:
-        return int(round(math.log2(self.scale)))
+        return 2 * self.channel_dim
 
     def to_dict(self) -> dict:
         return {**asdict(self), "window_sizes": list(self.window_sizes)}
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkConfig":
+        d = dict(d)
+        for key, fixed in _FIXED_KEYS.items():
+            value = d.pop(key, fixed)
+            if value != fixed:          # NaN included
+                raise ValueError(f"weight file config {key} is {value!r}; "
+                                 f"this network has {key} {fixed} only")
         return NetworkConfig(**{**d, "window_sizes": tuple(d["window_sizes"])})
 
 
@@ -96,7 +100,7 @@ def weight_shapes(cfg: NetworkConfig) -> dict:
     c = cfg.channel_dim
     hid = cfg.hidden_dim
     shapes: dict = {}
-    shapes["head.conv.weight"] = (c, cfg.in_channels, 3, 3)
+    shapes["head.conv.weight"] = (c, _PLANES, 3, 3)
     shapes["head.conv.bias"] = (c,)
     for b in range(cfg.blocks):
         for l in range(len(cfg.window_sizes)):
@@ -116,11 +120,11 @@ def weight_shapes(cfg: NetworkConfig) -> dict:
         shapes[f"block{b}.fuse.bias"] = (c,)
     shapes["body.conv.weight"] = (c, c, 3, 3)
     shapes["body.conv.bias"] = (c,)
-    for s in range(cfg.upsample_stages):
+    for s in range(_UP_STAGES):
         shapes[f"tail.up{s}.conv.weight"] = (4 * c, c, 3, 3)
         shapes[f"tail.up{s}.conv.bias"] = (4 * c,)
-    shapes["tail.out.weight"] = (cfg.out_channels, c, 3, 3)
-    shapes["tail.out.bias"] = (cfg.out_channels,)
+    shapes["tail.out.weight"] = (_PLANES, c, 3, 3)
+    shapes["tail.out.bias"] = (_PLANES,)
     return shapes
 
 
@@ -234,7 +238,7 @@ def hiet_block_forward(x, weights: dict, block: int, cfg: NetworkConfig) -> np.n
 
 
 def forward(x, weights: dict, cfg: NetworkConfig) -> np.ndarray:
-    """Full forward pass: [in_channels, s, s] -> [out_channels, scale*s, scale*s].
+    """Full forward pass: [3, s, s] -> [3, SCALE*s, SCALE*s].
 
     s must be divisible by every window size (the inference pipeline tiles
     frames into input_size blocks before calling this). `weights` must
@@ -248,7 +252,7 @@ def forward(x, weights: dict, cfg: NetworkConfig) -> np.ndarray:
         f = hiet_block_forward(f, weights, b, cfg)
     f = conv2d(f, weights["body.conv.weight"], weights["body.conv.bias"])
     f = f + head
-    for s in range(cfg.upsample_stages):
+    for s in range(_UP_STAGES):
         f = conv2d(f, weights[f"tail.up{s}.conv.weight"],
                    weights[f"tail.up{s}.conv.bias"])
         f = pixel_shuffle(f, 2)
@@ -277,7 +281,7 @@ def count_flops(cfg: NetworkConfig, height: int | None = None,
     def conv_fl(cin, cout, k, hh, ww):
         return 2 * cout * cin * k * k * hh * ww
 
-    total = conv_fl(cfg.in_channels, c, 3, h, w)            # head
+    total = conv_fl(_PLANES, c, 3, h, w)                    # head
     per_block = 0
     for win in cfg.window_sizes:
         t = win * win
@@ -288,8 +292,8 @@ def count_flops(cfg: NetworkConfig, height: int | None = None,
     total += cfg.blocks * per_block
     total += conv_fl(c, c, 3, h, w)                         # body conv
     hh, ww = h, w
-    for _ in range(cfg.upsample_stages):
+    for _ in range(_UP_STAGES):
         total += conv_fl(c, 4 * c, 3, hh, ww)
         hh, ww = hh * 2, ww * 2
-    total += conv_fl(c, cfg.out_channels, 3, hh, ww)        # output conv
+    total += conv_fl(c, _PLANES, 3, hh, ww)                 # output conv
     return total

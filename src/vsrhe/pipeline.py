@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from .frame_io import (C444, Frame, VideoSequence, chroma_downsample_mean,
                        chroma_upsample_nn, from_normalized, to_normalized)
-from .network import NetworkConfig, forward
+from .network import SCALE, NetworkConfig, forward
 
 __all__ = ["TilePlan", "plan_tiles", "NetworkModel", "upscale_frame",
            "upscale_sequence", "blend_weight_map"]
@@ -80,7 +81,6 @@ class NetworkModel:
     def __init__(self, weights: dict, cfg: NetworkConfig):
         self.weights = weights
         self.cfg = cfg
-        self.scale = cfg.scale
         self.tile = cfg.input_size
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
@@ -124,24 +124,6 @@ def _blas_one_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _reflect_index(n: int, length: int) -> np.ndarray:
-    """Reflected (no edge repetition) indices 0..n-1 into [0, length)."""
-    if length == 1:
-        return np.zeros(n, dtype=np.intp)
-    period = 2 * (length - 1)
-    idx = np.arange(n, dtype=np.intp) % period
-    return np.where(idx < length, idx, period - idx)
-
-
-def _pad_reflect_rb(x: np.ndarray, pad_bottom: int, pad_right: int) -> np.ndarray:
-    if pad_bottom == 0 and pad_right == 0:
-        return x
-    _, h, w = x.shape
-    rows = _reflect_index(h + pad_bottom, h)
-    cols = _reflect_index(w + pad_right, w)
-    return x[:, rows[:, None], cols[None, :]]
-
-
 def _ramp(tile_hr: int, ramp_len: int, at_start: bool, at_end: bool) -> np.ndarray:
     w = np.ones(tile_hr, dtype=np.float32)
     if ramp_len > 0:
@@ -153,73 +135,71 @@ def _ramp(tile_hr: int, ramp_len: int, at_start: bool, at_end: bool) -> np.ndarr
     return w
 
 
-def _tile_weight(plan: TilePlan, ox: int, oy: int, scale: int) -> np.ndarray:
-    t_hr = plan.tile * scale
-    r = plan.overlap * scale
+def _tile_weight(plan: TilePlan, ox: int, oy: int) -> np.ndarray:
+    t_hr = plan.tile * SCALE
+    r = plan.overlap * SCALE
     wx = _ramp(t_hr, r, at_start=ox > 0, at_end=ox + plan.tile < plan.padded_width)
     wy = _ramp(t_hr, r, at_start=oy > 0, at_end=oy + plan.tile < plan.padded_height)
     return wy[:, None] * wx[None, :]
 
 
-def blend_weight_map(plan: TilePlan, scale: int = 4) -> np.ndarray:
-    """Accumulated (pre-normalization) blend weight at every padded HR pixel."""
-    acc = np.zeros((plan.padded_height * scale, plan.padded_width * scale),
-                   dtype=np.float64)
+def blend_weight_map(plan: TilePlan) -> np.ndarray:
+    """Accumulated (pre-normalization) blend weight at every padded HR
+    pixel, summed in float32 in raster tile order."""
+    acc = np.zeros((plan.padded_height * SCALE, plan.padded_width * SCALE),
+                   dtype=np.float32)
+    t = plan.tile * SCALE
     for ox, oy in plan.origins:
-        t = plan.tile * scale
-        acc[oy * scale:oy * scale + t, ox * scale:ox * scale + t] += \
-            _tile_weight(plan, ox, oy, scale)
+        ys, xs = oy * SCALE, ox * SCALE
+        acc[ys:ys + t, xs:xs + t] += _tile_weight(plan, ox, oy)
     return acc
 
 
 def upscale_frame(frame: Frame, model, overlap: int = 8, threads: int = 1,
                   progress=None, frame_index: int = 0) -> Frame:
-    """Super-resolve one C420 frame to scale x dimensions.
+    """Super-resolve one C420 frame to SCALE x dimensions.
 
-    `model` maps a normalized [3, tile, tile] block to [3, tile*scale,
-    tile*scale]; `NetworkModel` provides this for real weights, and any
+    `model` maps a normalized [3, tile, tile] block to [3, tile*SCALE,
+    tile*SCALE]; `NetworkModel` provides this for real weights, and any
     crop-commuting stub works for pipeline verification.
     """
-    scale = getattr(model, "scale", 4)
     tile = getattr(model, "tile", 64)
     f444 = chroma_upsample_nn(frame)
     x = np.stack(to_normalized(f444))
     plan = plan_tiles(frame.width, frame.height, tile=tile, overlap=overlap)
-    x = _pad_reflect_rb(x, plan.pad_bottom, plan.pad_right)
-
-    hr_h = plan.padded_height * scale
-    hr_w = plan.padded_width * scale
-    acc = np.zeros((3, hr_h, hr_w), dtype=np.float32)
-    wacc = np.zeros((hr_h, hr_w), dtype=np.float32)
+    x = np.pad(x, ((0, 0), (0, plan.pad_bottom), (0, plan.pad_right)), mode="reflect")
 
     blocks = [x[:, oy:oy + tile, ox:ox + tile] for ox, oy in plan.origins]
     with _blas_one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         outputs = list(pool.map(model, blocks))
 
     # stitch in fixed raster order regardless of compute order
+    acc = np.zeros((3, plan.padded_height * SCALE, plan.padded_width * SCALE),
+                   dtype=np.float32)
+    t = tile * SCALE
     total = len(plan.origins)
     for i, ((ox, oy), out) in enumerate(zip(plan.origins, outputs)):
         if not np.isfinite(out).all():
             # NaN would otherwise quantize silently to code 0
             raise ValueError(f"frame {frame_index} tile {i + 1}/{total} at LR "
                              f"({ox}, {oy}): network output is not finite")
-        t = tile * scale
-        w2d = _tile_weight(plan, ox, oy, scale)
-        ys, xs = oy * scale, ox * scale
-        acc[:, ys:ys + t, xs:xs + t] += out * w2d
-        wacc[ys:ys + t, xs:xs + t] += w2d
+        ys, xs = oy * SCALE, ox * SCALE
+        acc[:, ys:ys + t, xs:xs + t] += out * _tile_weight(plan, ox, oy)
         if progress is not None:
             progress.write(f"frame={frame_index} tiles={i + 1}/{total}\n")
 
-    hr = acc / wacc
-    hr = hr[:, :frame.height * scale, :frame.width * scale]
+    hr = acc / blend_weight_map(plan)
+    hr = hr[:, :frame.height * SCALE, :frame.width * SCALE]
     out444 = from_normalized(hr[0], hr[1], hr[2], subsampling=C444)
     return chroma_downsample_mean(out444)
 
 
 def upscale_sequence(seq: VideoSequence, model, overlap: int = 8,
-                     threads: int = 1, progress=None) -> VideoSequence:
-    """Frame-wise map of upscale_frame; no temporal state."""
+                     threads: int | None = None, progress=None) -> VideoSequence:
+    """Frame-wise map of upscale_frame; no temporal state. `threads` tile
+    workers run each frame, by default one per CPU this process may run on."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
     frames = [upscale_frame(f, model, overlap=overlap, threads=threads,
                             progress=progress, frame_index=i)
               for i, f in enumerate(seq.frames)]

@@ -9,11 +9,16 @@ Layout (little-endian throughout):
     header        UTF-8 JSON: {"config": {...}, "note": str,
                   "tensors": [{"name", "dtype": "f32", "shape", "offset"}]}
     payload       raw float32 tensor bytes at the directory offsets
+
+The config holds the `NetworkConfig` fields, each an integer of at least
+1; older files also carry the network's fixed shape, and load only if it
+matches. Entries need a string name and non-negative integer dims and offset.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import BinaryIO
@@ -82,20 +87,27 @@ def load_weights(source: BinaryIO):
     meta = json.loads(header.decode("utf-8"))
     try:
         cfg = NetworkConfig.from_dict(meta["config"])
-        directory = [(e["name"], e["dtype"], tuple(e["shape"]), e["offset"])
+        directory = [(e["name"], e["dtype"], e["shape"], e["offset"])
                      for e in meta["tensors"]]
+        for name, _, shape, start in directory:
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(type(v) is int and v >= 0 for v in [*shape, start])):
+                raise TypeError(f"bad name, shape or offset in tensor entry {name!r}")
     except KeyError as e:
         raise ValueError(f"weight file header is missing key {e}") from None
     except TypeError as e:
         raise ValueError(f"malformed weight file header: {e}") from None
+    # bound the blocks x layers names that weight_shapes lists by the directory
+    if cfg.blocks * len(cfg.window_sizes) > len(directory):
+        raise ValueError(f"weight file config has {cfg.blocks} blocks but only "
+                         f"{len(directory)} tensors")
 
     payload = source.read()
     weights = {}
     for name, dtype, shape, start in directory:
         if dtype != "f32":
             raise ValueError(f"tensor {name!r} has unsupported dtype {dtype!r}")
-        count = int(np.prod(shape)) if shape else 1
-        end = start + count * 4
+        end = start + math.prod(shape) * 4
         if end > len(payload):
             raise ValueError(f"truncated weight file: tensor {name!r} payload incomplete")
         weights[name] = np.frombuffer(payload[start:end],

@@ -1,11 +1,5 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-# the repository root, so tests can import the benchmark's `perfbench` package
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from vsrhe.frame_io import C420, C444, Frame, VideoSequence
 

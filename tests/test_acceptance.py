@@ -172,7 +172,6 @@ def test_criterion_06_tiling_transparency(capfd, rng):
     t0 = time.time()
 
     class NearestStub:
-        scale = 4
         tile = 64
 
         def __call__(self, block):

@@ -36,6 +36,36 @@ def write_weights(path, cfg=FAST_CFG, seed=0):
         weights_io.save_weights(w, cfg, f)
 
 
+def spy_frame_threads(monkeypatch):
+    """The `threads` keyword of every upscale_frame call, as the benchmark's
+    tracer reads it."""
+    seen = []
+    upscale_frame = pipeline.upscale_frame
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["threads"])
+        return upscale_frame(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "upscale_frame", spy)
+    return seen
+
+
+def damaged_weights(tmp_path, damage):
+    """A weight file whose JSON header `damage` edited, under a valid CRC."""
+    wpath = tmp_path / "w.vsrhe"
+    write_weights(wpath)
+    data = wpath.read_bytes()
+    start = len(weights_io.MAGIC) + 64
+    (hlen,) = struct.unpack("<I", data[start:start + 4])
+    meta = json.loads(data[start + 4:start + 4 + hlen])
+    damage(meta)
+    header = json.dumps(meta).encode("utf-8")
+    crc = struct.pack("<I", zlib.crc32(header)).ljust(64, b"\0")
+    wpath.write_bytes(weights_io.MAGIC + crc + struct.pack("<I", len(header))
+                      + header + data[start + 4 + hlen:])
+    return wpath
+
+
 @pytest.fixture
 def video_64(rng, tmp_path):
     path = tmp_path / "in.y4m"
@@ -139,17 +169,10 @@ class TestUpscale:
         wpath = tmp_path / "w.vsrhe"
         write_weights(wpath)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-        seen = []
-        upscale_sequence = pipeline.upscale_sequence
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["threads"])
-            return upscale_sequence(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "upscale_sequence", spy)
+        seen = spy_frame_threads(monkeypatch)
         assert cli.run(["upscale", "--in", str(video_64), "--weights", str(wpath),
                         "--out", str(tmp_path / "o.y4m")]) == 0
-        assert seen == [3]
+        assert seen == [3, 3]
 
     def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
         # one full-width block: every GEMM shape of the full model
@@ -354,6 +377,17 @@ class TestBench:
             assert report.ssim == [metrics.ssim(r, c) for r, c in pairs]
             assert report.msssim == [metrics.ms_ssim(r, c) for r, c in pairs]
         assert out.read_bytes() == metrics.format_summary_table(reports).encode("utf-8")
+
+    def test_network_tiles_run_on_every_cpu(self, rng, tmp_path, monkeypatch):
+        ref = tmp_path / "ref.y4m"
+        write_y4m(ref, make_video(rng, 256, 256, 1))
+        wpath = tmp_path / "w.vsrhe"
+        write_weights(wpath)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        seen = spy_frame_threads(monkeypatch)
+        assert cli.run(["bench", "--ref", str(ref), "--methods", "network",
+                        "--weights", str(wpath), "--out", str(tmp_path / "t.txt")]) == 0
+        assert seen == [3]
 
     def test_network_needs_weights(self, rng, tmp_path):
         ref = tmp_path / "ref.y4m"
@@ -602,16 +636,37 @@ class TestInspectWeights:
             "entry-no-dtype", "entry-no-shape", "entry-no-offset"])
     def test_malformed_header(self, tmp_path, capsys, damage):
         # a damaged header under a valid checksum is a processing error, not a traceback
-        wpath = tmp_path / "w.vsrhe"
-        write_weights(wpath)
-        data = wpath.read_bytes()
-        start = len(weights_io.MAGIC) + 64
-        (hlen,) = struct.unpack("<I", data[start:start + 4])
-        meta = json.loads(data[start + 4:start + 4 + hlen])
-        damage(meta)
-        header = json.dumps(meta).encode("utf-8")
-        crc = struct.pack("<I", zlib.crc32(header)).ljust(64, b"\0")
-        wpath.write_bytes(weights_io.MAGIC + crc + struct.pack("<I", len(header))
-                          + header + data[start + 4 + hlen:])
+        wpath = damaged_weights(tmp_path, damage)
         assert cli.run(["inspect-weights", str(wpath)]) == 2
         assert "weight file header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda m: m["config"].update(heads=0), "heads must be an integer"),
+        (lambda m: m["config"].update(window_sizes=[0]), "window size must be an integer"),
+        (lambda m: m["config"].update(window_sizes=[]), "window_sizes must not be empty"),
+        (lambda m: m["config"].update(input_size=-8), "input_size must be an integer"),
+        (lambda m: m["config"].update(blocks=True), "blocks must be an integer"),
+        (lambda m: m["config"].update(blocks=10**9), "1000000000 blocks"),
+        (lambda m: m["config"].update(mlp_ratio=float("nan")), "mlp_ratio is nan"),
+        (lambda m: m["config"].update(mlp_ratio=float("inf")), "mlp_ratio is inf"),
+        (lambda m: m["config"].update(scale=3), "scale is 3"),
+        (lambda m: m["config"].update(in_channels=1), "in_channels is 1"),
+        (lambda m: m["tensors"][0].update(offset="a"), "tensor entry"),
+        (lambda m: m["tensors"][0].update(shape=["a"]), "tensor entry"),
+        (lambda m: m["tensors"][0].update(name=5), "tensor entry"),
+    ], ids=["heads-0", "window-0", "no-windows", "input-size-negative", "blocks-bool",
+            "blocks-huge", "mlp-ratio-nan", "mlp-ratio-inf", "scale-3", "in-channels-1",
+            "offset-string", "shape-string", "name-number"])
+    def test_bad_config_or_directory(self, tmp_path, capsys, monkeypatch, damage, message):
+        # rejected from the header alone, before any tensor name is built
+        wpath = damaged_weights(tmp_path, damage)
+
+        def no_names(cfg):
+            raise AssertionError("weight_shapes called on an unchecked header")
+
+        monkeypatch.setattr(network, "weight_shapes", no_names)
+        assert cli.run(["inspect-weights", str(wpath)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+        assert message in err

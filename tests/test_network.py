@@ -77,15 +77,38 @@ class TestConfig:
         cfg = NetworkConfig()
         assert cfg.channel_dim == 126 and cfg.blocks == 6
         assert cfg.window_sizes == (64, 32, 8, 32, 64)
-        assert cfg.hidden_dim == 252 and cfg.head_dim == 21
+        assert cfg.hidden_dim == 252
+        assert list(cfg.to_dict()) == ["channel_dim", "blocks", "window_sizes",
+                                       "heads", "input_size"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="heads"):
             NetworkConfig(channel_dim=10, heads=4)
         with pytest.raises(ValueError, match="window"):
             NetworkConfig(window_sizes=(48,))
-        with pytest.raises(ValueError, match="scale"):
-            NetworkConfig(scale=3)
+        with pytest.raises(ValueError, match="window_sizes must not be empty"):
+            NetworkConfig(window_sizes=())
+
+    @pytest.mark.parametrize("field,value", [
+        ("channel_dim", 0), ("blocks", -1), ("heads", 0), ("input_size", -8),
+        ("blocks", True), ("channel_dim", 126.0), ("window_sizes", (64, 0)),
+        ("window_sizes", ("8",))],
+        ids=["channel-dim-0", "blocks-negative", "heads-0", "input-size-negative",
+             "blocks-bool", "channel-dim-float", "window-0", "window-string"])
+    def test_fields_are_integers_of_at_least_one(self, field, value):
+        key = "window size" if field == "window_sizes" else field
+        with pytest.raises(ValueError, match=f"{key} must be an integer of at least 1"):
+            NetworkConfig(**{field: value})
+
+    def test_fixed_shape_keys_of_older_files(self):
+        old = {**NetworkConfig().to_dict(), "in_channels": 3, "out_channels": 3,
+               "mlp_ratio": 2.0, "scale": 4}
+        assert NetworkConfig.from_dict(old) == NetworkConfig()
+        for key, value in [("in_channels", 1), ("out_channels", 4),
+                           ("mlp_ratio", float("nan")), ("mlp_ratio", float("inf")),
+                           ("scale", 2), ("scale", "4")]:
+            with pytest.raises(ValueError, match=f"config {key} is"):
+                NetworkConfig.from_dict({**old, key: value})
 
 
 class TestLayer:

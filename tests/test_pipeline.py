@@ -12,7 +12,6 @@ from vsrhe.pipeline import NetworkModel, blend_weight_map, plan_tiles, upscale_f
 class NearestStub:
     """Crop-commuting model stand-in: nearest-neighbor 4x on each channel."""
 
-    scale = 4
     tile = 64
 
     def __call__(self, block):
